@@ -789,6 +789,56 @@ void BM_QueryEngine_WhatIfFullRecompute(benchmark::State& state) {
 BENCHMARK(BM_QueryEngine_WhatIfFullRecompute)
     ->Unit(benchmark::kMillisecond);
 
+// ------------------------------------------------- contribution kernel
+//
+// MetricsAggregator::contribution alone: the serial fold of the 500
+// primed sources' path sets over the base overlay with one Scratch -
+// the kernel a daemon's cold start, every rebase and every what-if run.
+// `paths` is the folded path count; `km_fee_sum` (sum of every source's
+// km_sum + transit_fees, printed to 17 significant digits in the JSON)
+// is the bit-identity fingerprint: any change to the kernel must keep
+// both counters exactly.
+
+const std::vector<scenario::SourcePathSet>& primed_path_sets() {
+  static const std::vector<scenario::SourcePathSet> sets = [] {
+    scenario::SweepConfig config;
+    config.dirty_radius = scenario::kLength3DirtyRadius;
+    scenario::SweepRunner<scenario::SourcePathSet> runner(
+        cached_compiled(), sweep_sources(), config);
+    runner.prime([](const scenario::Overlay& overlay, topology::AsId src) {
+      return scenario::enumerate_length3(overlay, src);
+    });
+    return runner.baseline();
+  }();
+  return sets;
+}
+
+void BM_Metrics_Contribution(benchmark::State& state) {
+  const scenario::MetricsAggregator aggregator(
+      cached_compiled(), &cached_topology().world, &cached_economy());
+  const scenario::Overlay base(cached_compiled());
+  const std::vector<scenario::SourcePathSet>& sets = primed_path_sets();
+  scenario::MetricsAggregator::Scratch scratch;
+  std::size_t paths = 0;
+  double km_fee_sum = 0.0;
+  for (auto _ : state) {
+    paths = 0;
+    km_fee_sum = 0.0;
+    for (const scenario::SourcePathSet& set : sets) {
+      const scenario::SourceContribution contribution =
+          aggregator.contribution(base, set, scratch);
+      paths += set.grc().size() + set.ma().size();
+      km_fee_sum += contribution.km_sum + contribution.transit_fees;
+    }
+    benchmark::DoNotOptimize(km_fee_sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths));
+  state.counters["paths"] = static_cast<double>(paths);
+  state.counters["km_fee_sum"] = km_fee_sum;
+}
+BENCHMARK(BM_Metrics_Contribution)->Unit(benchmark::kMillisecond);
+
 // ------------------------------------------- sharded serving pair
 //
 // The sharded-serving additions. BM_Serve_ShardedWhatIf is the 4-shard

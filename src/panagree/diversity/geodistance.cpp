@@ -17,61 +17,75 @@ GeodistanceModel::GeodistanceModel(const Graph& graph, const geo::World& world)
       city_matrix_[b * num_cities_ + a] = d;
     }
   }
-}
-
-double GeodistanceModel::city_to_city_km(std::size_t a, std::size_t b) const {
-  PANAGREE_ASSERT(a < num_cities_ && b < num_cities_);
-  return city_matrix_[a * num_cities_ + b];
+  // The leg table: every AS-to-facility leg a path over a base link can
+  // need, computed once with the same trig the on-the-fly legs use.
+  // Sized exactly up front: a growing vector would briefly hold two
+  // copies, which shows in a daemon's peak RSS.
+  const std::vector<topology::Link>& links = graph.links();
+  std::size_t total = 0;
+  for (const topology::Link& link : links) {
+    total += link.facilities.size();
+  }
+  util::require(total <= std::numeric_limits<std::uint32_t>::max(),
+                "GeodistanceModel: leg table exceeds 32-bit offsets");
+  legs_.reserve(total);
+  leg_begin_.reserve(links.size() + 1);
+  link_a_.reserve(links.size());
+  leg_begin_.push_back(0);
+  for (const topology::Link& link : links) {
+    const std::vector<FacilityLeg> row =
+        facility_legs(link.a, link.b, link.facilities);
+    legs_.insert(legs_.end(), row.begin(), row.end());
+    leg_begin_.push_back(static_cast<std::uint32_t>(legs_.size()));
+    link_a_.push_back(link.a);
+  }
 }
 
 double GeodistanceModel::as_to_city_km(AsId as, std::size_t city) const {
-  // Deliberately uncached: one great-circle evaluation is cheaper than a
-  // synchronized memo lookup, and keeping this pure lets parallel
-  // aggregation fan-outs scale instead of serializing on a mutex.
   return geo::great_circle_km(graph_->info(as).centroid,
                               world_->city(city).location);
 }
 
+std::vector<FacilityLeg> GeodistanceModel::facility_legs(
+    AsId a, AsId b, std::span<const std::size_t> facilities) const {
+  std::vector<FacilityLeg> legs;
+  legs.reserve(facilities.size());
+  for (const std::size_t city : facilities) {
+    util::require(city < num_cities_,
+                  "GeodistanceModel: facility city out of range");
+    legs.push_back(FacilityLeg{static_cast<std::uint32_t>(city),
+                               {as_to_city_km(a, city),
+                                as_to_city_km(b, city)}});
+  }
+  return legs;
+}
+
 double GeodistanceModel::path_geodistance_km(AsId s, AsId m, AsId d) const {
+  util::require(graph_->info(s).has_geo && graph_->info(d).has_geo,
+                "path_geodistance_km: endpoints need geodata");
   const auto l1 = graph_->link_between(s, m);
   const auto l2 = graph_->link_between(m, d);
   util::require(l1.has_value() && l2.has_value(),
                 "path_geodistance_km: path hops must be linked");
-  return path_geodistance_km(s, m, d, graph_->link(*l1).facilities,
-                             graph_->link(*l2).facilities);
+  util::require(*l1 < link_a_.size() && *l2 < link_a_.size(),
+                "path_geodistance_km: link added after the model was built");
+  const HopLegs head = link_legs(*l1, s);
+  const HopLegs tail = link_legs(*l2, d);
+  util::require(!head.legs.empty() && !tail.legs.empty(),
+                "path_geodistance_km: links need facilities");
+  return path_geodistance_km(head, tail);
 }
 
 double GeodistanceModel::path_geodistance_km(
-    AsId s, AsId /*m*/, AsId d, std::span<const std::size_t> facilities_sm,
+    AsId s, AsId m, AsId d, std::span<const std::size_t> facilities_sm,
     std::span<const std::size_t> facilities_md) const {
   util::require(graph_->info(s).has_geo && graph_->info(d).has_geo,
                 "path_geodistance_km: endpoints need geodata");
   util::require(!facilities_sm.empty() && !facilities_md.empty(),
                 "path_geodistance_km: links need facilities");
-  // This is the innermost loop of scenario aggregation (one call per
-  // enumerated path): hoist both great-circle legs out of the facility
-  // product, so the trig cost is |sm| + |md| instead of |sm| * |md|.
-  // Facility lists are tiny (max_facilities_per_link defaults to 3); the
-  // stack buffer covers any realistic size, with a recompute fallback.
-  constexpr std::size_t kMaxHoisted = 16;
-  double tail_legs[kMaxHoisted];
-  const bool hoist_tail = facilities_md.size() <= kMaxHoisted;
-  if (hoist_tail) {
-    for (std::size_t j = 0; j < facilities_md.size(); ++j) {
-      tail_legs[j] = as_to_city_km(d, facilities_md[j]);
-    }
-  }
-  double best = std::numeric_limits<double>::infinity();
-  for (const std::size_t c1 : facilities_sm) {
-    const double head = as_to_city_km(s, c1);
-    for (std::size_t j = 0; j < facilities_md.size(); ++j) {
-      const std::size_t c2 = facilities_md[j];
-      const double tail =
-          hoist_tail ? tail_legs[j] : as_to_city_km(d, c2);
-      best = std::min(best, head + city_to_city_km(c1, c2) + tail);
-    }
-  }
-  return best;
+  const std::vector<FacilityLeg> head = facility_legs(s, m, facilities_sm);
+  const std::vector<FacilityLeg> tail = facility_legs(m, d, facilities_md);
+  return path_geodistance_km(HopLegs{head, 0}, HopLegs{tail, 1});
 }
 
 GeodistanceReport analyze_geodistance(const Graph& graph,

@@ -1,9 +1,9 @@
 #include "panagree/scenario/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "panagree/geo/coordinates.hpp"
 #include "panagree/paths/enumerator.hpp"
@@ -107,6 +107,10 @@ MetricsAggregator::MetricsAggregator(const CompiledTopology& base,
     : base_(&base), world_(world), economy_(economy) {
   if (world_ != nullptr) {
     geodesy_.emplace(base.graph(), *world_);
+    has_geo_.reserve(base.num_ases());
+    for (AsId as = 0; as < base.num_ases(); ++as) {
+      has_geo_.push_back(base.graph().info(as).has_geo ? 1 : 0);
+    }
   }
   // Estimated facilities of added links must not out-minimize real ones:
   // cap at the densest base link (falling back to the generator default
@@ -122,67 +126,71 @@ MetricsAggregator::MetricsAggregator(const CompiledTopology& base,
 
 double MetricsAggregator::path_geodistance_km(const Overlay& overlay,
                                               AsId s, AsId m, AsId d) const {
-  return path_geodistance_km(overlay, s, m, d, /*memo=*/nullptr);
-}
-
-double MetricsAggregator::path_geodistance_km(
-    const Overlay& overlay, AsId s, AsId m, AsId d,
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>>* memo)
-    const {
   util::require(geodesy_.has_value(),
                 "MetricsAggregator: constructed without a geo::World");
   const auto l1 = overlay.link_between(s, m);
   const auto l2 = overlay.link_between(m, d);
   util::require(l1.has_value() && l2.has_value(),
                 "path_geodistance_km: path hops must be linked");
-  if (*l1 < overlay.first_added_link_id() &&
-      *l2 < overlay.first_added_link_id()) {
-    return geodesy_->path_geodistance_km(s, m, d);
+  Scratch scratch;
+  const diversity::HopLegs head = hop_legs(overlay, *l1, s, scratch);
+  return path_km(overlay, {s, m, d}, *l1, head, *l2, scratch);
+}
+
+diversity::HopLegs MetricsAggregator::hop_legs(const Overlay& overlay,
+                                               std::uint32_t link,
+                                               AsId from,
+                                               Scratch& scratch) const {
+  if (link < overlay.first_added_link_id()) {
+    return geodesy_->link_legs(link, from);
   }
   // An added link stores no facilities yet: estimate candidates from the
   // endpoint PoP sets, the same rule the generator assigns real links
   // with, so the what-if hop is priced like its recompiled version. The
-  // estimate depends only on the link, so Scratch callers memoize it per
-  // synthetic link id instead of redoing the PoP search per path.
-  const topology::Graph& graph = base_->graph();
-  const auto estimate = [&](std::uint32_t link_id) {
-    const LinkChange& change = overlay.added_link(link_id);
-    topology::Link link;
-    link.a = change.a;
-    link.b = change.b;
-    link.type = change.type;
-    return topology::estimate_link_facilities(graph, *world_, link,
-                                              max_estimated_facilities_);
-  };
-  // Stable storage for a non-memoized estimate of each hop.
-  std::vector<std::size_t> local[2];
-  const auto facilities_of =
-      [&](std::uint32_t link_id,
-          std::size_t hop) -> const std::vector<std::size_t>& {
-    if (link_id < overlay.first_added_link_id()) {
-      return graph.link(link_id).facilities;
-    }
-    if (memo != nullptr) {
-      const auto [it, inserted] = memo->try_emplace(link_id);
-      if (inserted) {
-        it->second = estimate(link_id);
-      }
-      return it->second;
-    }
-    local[hop] = estimate(link_id);
-    return local[hop];
-  };
-  const std::vector<std::size_t>& facilities_sm = facilities_of(*l1, 0);
-  const std::vector<std::size_t>& facilities_md = facilities_of(*l2, 1);
-  if (!facilities_sm.empty() && !facilities_md.empty()) {
-    return geodesy_->path_geodistance_km(s, m, d, facilities_sm,
-                                         facilities_md);
+  // estimate depends only on the link, so the Scratch keeps it for every
+  // later path over the same link.
+  const LinkChange& change = overlay.added_link(link);
+  const auto it = std::find_if(
+      scratch.added_legs_.begin(), scratch.added_legs_.end(),
+      [&](const Scratch::AddedLegs& entry) { return entry.link == change; });
+  const Scratch::AddedLegs& entry =
+      it != scratch.added_legs_.end()
+          ? *it
+          : scratch.added_legs_.emplace_back([&] {
+              topology::Link estimated;
+              estimated.a = change.a;
+              estimated.b = change.b;
+              estimated.type = change.type;
+              return Scratch::AddedLegs{
+                  change,
+                  geodesy_->facility_legs(
+                      change.a, change.b,
+                      topology::estimate_link_facilities(
+                          base_->graph(), *world_, estimated,
+                          max_estimated_facilities_))};
+            }());
+  return {entry.legs, from == change.a ? 0u : 1u};
+}
+
+double MetricsAggregator::path_km(const Overlay& overlay,
+                                  const diversity::Length3Path& path,
+                                  std::uint32_t l1,
+                                  const diversity::HopLegs& head,
+                                  std::uint32_t l2, Scratch& scratch) const {
+  const diversity::HopLegs tail = hop_legs(overlay, l2, path.dst, scratch);
+  if (head.legs.empty() || tail.legs.empty()) {
+    util::require(l1 >= overlay.first_added_link_id() ||
+                      l2 >= overlay.first_added_link_id(),
+                  "path_geodistance_km: links need facilities");
+    // Last resort - an added-link endpoint without PoPs: endpoint-centroid
+    // legs.
+    const topology::Graph& graph = base_->graph();
+    return geo::great_circle_km(graph.info(path.src).centroid,
+                                graph.info(path.mid).centroid) +
+           geo::great_circle_km(graph.info(path.mid).centroid,
+                                graph.info(path.dst).centroid);
   }
-  // Last resort - an endpoint without PoPs: endpoint-centroid legs.
-  return geo::great_circle_km(graph.info(s).centroid,
-                              graph.info(m).centroid) +
-         geo::great_circle_km(graph.info(m).centroid,
-                              graph.info(d).centroid);
+  return geodesy_->path_geodistance_km(head, tail);
 }
 
 double MetricsAggregator::path_fee(const Overlay& overlay,
@@ -211,84 +219,103 @@ SourceContribution MetricsAggregator::contribution(
     const Overlay& overlay, const SourcePathSet& result,
     Scratch& scratch) const {
   if (scratch.overlay_ != &overlay) {
-    // Working memory follows the scenario: the added-facility memo keys
-    // synthetic link ids of this overlay only.
+    // The added-link memo follows the scenario (its entries are keyed by
+    // link content, so this only bounds its size).
     scratch.overlay_ = &overlay;
-    scratch.added_facilities_.clear();
+    scratch.added_legs_.clear();
+  }
+  const std::size_t n = base_->num_ases();
+  if (scratch.slots_.size() != n) {
+    scratch.slots_.assign(n, Scratch::Best{});
+    scratch.live_.assign((n + 63) / 64, 0);
+  } else {
+    std::fill(scratch.live_.begin(), scratch.live_.end(), 0);
   }
   SourceContribution out;
   out.grc_paths = result.grc().size();
   out.ma_paths = result.ma().size();
 
-  const topology::Graph& graph = base_->graph();
-  const auto km_of =
-      [&](const diversity::Length3Path& p) -> std::optional<double> {
-    if (!geodesy_.has_value() || !graph.info(p.src).has_geo ||
-        !graph.info(p.mid).has_geo || !graph.info(p.dst).has_geo) {
-      return std::nullopt;
-    }
-    return path_geodistance_km(overlay, p.src, p.mid, p.dst,
-                               &scratch.added_facilities_);
-  };
-
   using Best = Scratch::Best;
-  std::unordered_map<AsId, Best>& best = scratch.best_;
-  best.clear();
-  const auto consider = [&](const diversity::Length3Path& p, bool grc) {
-    auto [it, inserted] = best.try_emplace(p.dst);
-    Best& slot = it->second;
-    slot.grc_reachable = slot.grc_reachable || grc;
-    const std::optional<double> km = km_of(p);
+  Best* const slots = scratch.slots_.data();
+  std::uint64_t* const live = scratch.live_.data();
+  const auto consider = [&](const diversity::Length3Path& p, bool grc,
+                            bool has_km, double km) {
+    Best& slot = slots[p.dst];
+    std::uint64_t& word = live[p.dst / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (p.dst % 64);
     // Without geodata the first-enumerated path wins (deterministic);
     // with it, the strictly shortest one.
-    if (inserted) {
+    if ((word & bit) == 0) {
+      word |= bit;
       slot.path = p;
-      if (km.has_value()) {
-        slot.km = *km;
-        slot.has_km = true;
-      }
+      slot.km = has_km ? km : std::numeric_limits<double>::infinity();
+      slot.has_km = has_km;
+      slot.grc_reachable = grc;
       return;
     }
-    if (km.has_value() && *km < slot.km) {
+    slot.grc_reachable = slot.grc_reachable || grc;
+    if (has_km && km < slot.km) {
       slot.path = p;
-      slot.km = *km;
+      slot.km = km;
       slot.has_km = true;
     }
   };
-  for (const diversity::Length3Path& p : result.grc()) {
-    consider(p, /*grc=*/true);
-  }
-  for (const diversity::Length3Path& p : result.ma()) {
-    consider(p, /*grc=*/false);
-  }
+  // Enumeration emits the paths of one (src, mid) hop as a run, so the
+  // s-m link and its legs are looked up once per run; each path then
+  // costs one m-d link lookup and a table-driven facility minimum.
+  const auto fold = [&](std::span<const diversity::Length3Path> paths,
+                        bool grc) {
+    AsId run_src = topology::kInvalidAs;
+    AsId run_mid = topology::kInvalidAs;
+    bool run_geo = false;
+    std::uint32_t l1 = 0;
+    diversity::HopLegs head;
+    for (const diversity::Length3Path& p : paths) {
+      if (p.src != run_src || p.mid != run_mid) {
+        run_src = p.src;
+        run_mid = p.mid;
+        run_geo = geodesy_.has_value() && has_geo_[p.src] != 0 &&
+                  has_geo_[p.mid] != 0;
+        if (run_geo) {
+          const auto link = overlay.link_between(p.src, p.mid);
+          util::require(link.has_value(),
+                        "path_geodistance_km: path hops must be linked");
+          l1 = *link;
+          head = hop_legs(overlay, l1, p.src, scratch);
+        }
+      }
+      if (!run_geo || has_geo_[p.dst] == 0) {
+        consider(p, grc, false, 0.0);
+        continue;
+      }
+      const auto l2 = overlay.link_between(p.mid, p.dst);
+      util::require(l2.has_value(),
+                    "path_geodistance_km: path hops must be linked");
+      consider(p, grc, true, path_km(overlay, p, l1, head, *l2, scratch));
+    }
+  };
+  fold(result.grc(), /*grc=*/true);
+  fold(result.ma(), /*grc=*/false);
 
-  // Fold in ascending destination order, not hash-bucket order: the
-  // float sums must be a pure function of (overlay, result), or a
-  // contribution computed with a fresh Scratch would differ at ULP level
-  // from one computed mid-sequence with a grown bucket array - and the
-  // serving layer splices independently computed contributions into
-  // cached ones (byte-identity contract).
-  auto& dsts = scratch.dst_order_;
-  dsts.clear();
-  dsts.reserve(best.size());
-  for (const auto& [dst, slot] : best) {
-    dsts.emplace_back(dst, &slot);
-  }
-  std::sort(dsts.begin(), dsts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [dst, slot_ptr] : dsts) {
-    const Best& slot = *slot_ptr;
-    if (slot.grc_reachable) {
-      ++out.grc_pairs;
-    } else {
-      ++out.ma_extra_pairs;
+  // Fold in ascending destination order: the float sums must be a pure
+  // function of (overlay, result), because the serving layer splices
+  // independently computed contributions into cached ones (byte-identity
+  // contract).
+  for (std::size_t w = 0; w < scratch.live_.size(); ++w) {
+    for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+      const Best& slot = slots[w * 64 + std::countr_zero(bits)];
+      if (slot.grc_reachable) {
+        ++out.grc_pairs;
+      } else {
+        ++out.ma_extra_pairs;
+      }
+      if (slot.has_km) {
+        out.km_sum += slot.km;
+        ++out.km_pairs;
+      }
+      const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
+      out.transit_fees += path_fee(overlay, hops, 1.0);
     }
-    if (slot.has_km) {
-      out.km_sum += slot.km;
-      ++out.km_pairs;
-    }
-    const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
-    out.transit_fees += path_fee(overlay, hops, 1.0);
   }
   return out;
 }

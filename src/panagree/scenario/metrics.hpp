@@ -9,14 +9,14 @@
 //   * path diversity - total GRC/MA path counts and reachable (src, dst)
 //     pairs (diversity/ semantics);
 //   * geodistance - the mean best length-3 geodistance over reachable
-//     pairs (§VI-B). Hops over base links use the facility-minimizing
-//     GeodistanceModel; hops over *added* links (which carry no stored
-//     facilities yet) estimate candidate facilities from the endpoint AS
-//     PoP sets with the same rule the generator assigns real links
-//     (topology::estimate_link_facilities), so a what-if deployment is
-//     priced like the recompiled link would be - the endpoint-centroid
-//     great-circle legs remain only as a last resort for ASes without
-//     PoPs;
+//     pairs (§VI-B). Hops over base links read the facility legs of
+//     GeodistanceModel's per-link table; hops over *added* links (which
+//     carry no stored facilities yet) estimate candidate facilities from
+//     the endpoint AS PoP sets with the same rule the generator assigns
+//     real links (topology::estimate_link_facilities), so a what-if
+//     deployment is priced like the recompiled link would be - the
+//     endpoint-centroid great-circle legs remain only as a last resort
+//     for ASes without PoPs;
 //   * transit fees - unit demand per reachable pair routed over its best
 //     path, each provider-customer hop charged by econ::Economy. Per-unit
 //     evaluation is exact for the linear default economy; added links the
@@ -27,9 +27,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "panagree/diversity/geodistance.hpp"
@@ -215,7 +216,8 @@ class MetricsAggregator {
  public:
   /// `world` == nullptr disables the geodistance aggregate (and best paths
   /// fall back to first-enumerated). All referenced objects must outlive
-  /// the aggregator.
+  /// the aggregator, which snapshots the graph's geodata (AS centroids,
+  /// has_geo flags and link facilities) into its lookup tables.
   MetricsAggregator(const CompiledTopology& base, const geo::World* world,
                     const econ::Economy* economy);
 
@@ -232,12 +234,12 @@ class MetricsAggregator {
       const Overlay& overlay, const std::vector<AsId>& sources,
       const std::vector<const SourcePathSet*>& results) const;
 
-  /// Reusable per-call working memory of contribution(): the
-  /// best-path-per-destination map keeps its bucket array across sources
-  /// and the estimated facilities of overlay-added links are memoized per
-  /// synthetic link id. One Scratch serves any number of contribution()
-  /// calls (it resets itself when the overlay changes); give each
-  /// concurrent caller its own.
+  /// Reusable working memory of contribution(): dense per-AS best-path
+  /// slots (with a bitmap of the live ones, folded in ascending
+  /// destination order) and the facility legs of overlay-added links,
+  /// memoized per added link. One Scratch serves any number of
+  /// contribution() calls, over any overlays (the memo is dropped when
+  /// the overlay changes); give each concurrent caller its own.
   class Scratch {
    public:
     Scratch() = default;
@@ -250,16 +252,19 @@ class MetricsAggregator {
       bool has_km = false;
       bool grc_reachable = false;
     };
+    struct AddedLegs {
+      LinkChange link;
+      std::vector<diversity::FacilityLeg> legs;
+    };
     const Overlay* overlay_ = nullptr;
-    std::unordered_map<AsId, Best> best_;
-    /// Reused sort buffer: contribution() folds destinations in sorted
-    /// order so its float sums are history-independent (see the .cpp).
-    /// Pointers stay valid during the fold (best_ is not mutated).
-    std::vector<std::pair<AsId, const Best*>> dst_order_;
-    /// Estimated facilities keyed by overlay-added link id (valid for
-    /// overlay_ only).
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>>
-        added_facilities_;
+    /// slots_[d] holds destination d's best path of the current source
+    /// iff bit d of live_ is set.
+    std::vector<Best> slots_;
+    std::vector<std::uint64_t> live_;
+    /// Legs of overlay-added links, keyed by the link itself (so an entry
+    /// can never describe another link). A deque: spans into the legs of
+    /// one entry stay valid while later entries are appended.
+    std::deque<AddedLegs> added_legs_;
   };
 
   /// The additive slice one source's path sets contribute to the
@@ -296,17 +301,27 @@ class MetricsAggregator {
                                 double volume) const;
 
  private:
-  /// path_geodistance_km with the Scratch's added-facility memo (nullptr
-  /// = no memoization, the public overload's behavior).
-  [[nodiscard]] double path_geodistance_km(
-      const Overlay& overlay, AsId s, AsId m, AsId d,
-      std::unordered_map<std::uint32_t, std::vector<std::size_t>>* memo)
-      const;
+  /// Facility legs of hop `link` seen from its endpoint `from`: the
+  /// GeodistanceModel table row for base links, the Scratch-memoized
+  /// estimate for overlay-added ones.
+  [[nodiscard]] diversity::HopLegs hop_legs(const Overlay& overlay,
+                                            std::uint32_t link, AsId from,
+                                            Scratch& scratch) const;
+
+  /// Geodistance of `path` whose hops are the links `l1` (s-m, legs
+  /// `head` seen from s) and `l2` (m-d).
+  [[nodiscard]] double path_km(const Overlay& overlay,
+                               const diversity::Length3Path& path,
+                               std::uint32_t l1,
+                               const diversity::HopLegs& head,
+                               std::uint32_t l2, Scratch& scratch) const;
 
   const CompiledTopology* base_;
   const geo::World* world_;
   const econ::Economy* economy_;
   std::optional<diversity::GeodistanceModel> geodesy_;
+  /// has_geo of every base AS, one byte each (the per-path check).
+  std::vector<std::uint8_t> has_geo_;
   /// Facility-count cap for estimating overlay-added links: the maximum
   /// stored on any base link (so a what-if hop minimizes over no more
   /// facilities than its recompiled version would, whatever

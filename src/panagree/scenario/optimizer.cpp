@@ -252,8 +252,10 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
   const Overlay base_view(*base_);
   root.contribs.reserve(sources_.size());
   SourceContribution base_total;
+  MetricsAggregator::Scratch scratch;
   for (const SourcePathSet& sets : root.runner.baseline()) {
-    root.contribs.push_back(aggregator_->contribution(base_view, sets));
+    root.contribs.push_back(
+        aggregator_->contribution(base_view, sets, scratch));
     base_total += root.contribs.back();
   }
   root.metrics = finalize(base_total);

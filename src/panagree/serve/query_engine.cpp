@@ -9,6 +9,7 @@
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/metrics.hpp"
 #include "panagree/obs/trace.hpp"
+#include "panagree/paths/parallel.hpp"
 
 namespace panagree::serve {
 
@@ -25,6 +26,7 @@ struct EngineMetrics {
   obs::Counter& memo_unshared = reg.counter("engine.whatif_unshared");
   obs::Counter& rebases = reg.counter("engine.rebases");
   obs::Histogram& batch = reg.histogram("engine.whatif_batch");
+  obs::Histogram& fold_ns = reg.histogram("engine.fold_ns");
 };
 
 [[nodiscard]] EngineMetrics& engine_metrics() {
@@ -58,6 +60,43 @@ scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
                                   AsId src) {
   return scenario::enumerate_length3(overlay, src);
 }
+
+/// Wall clock of the prime phases. Not stage_now_ns: the readiness line
+/// reports these even when the obs layer is compiled out.
+[[nodiscard]] std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// The Scratches of one parallel refold. A worker borrows one per source
+/// and hands it back, so a refold allocates at most one per worker (each
+/// holds a slot per AS), and all of them are freed when the refold
+/// returns.
+class ScratchPool {
+ public:
+  std::unique_ptr<scenario::MetricsAggregator::Scratch> acquire() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        auto scratch = std::move(idle_.back());
+        idle_.pop_back();
+        return scratch;
+      }
+    }
+    return std::make_unique<scenario::MetricsAggregator::Scratch>();
+  }
+
+  void release(std::unique_ptr<scenario::MetricsAggregator::Scratch> scratch) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(std::move(scratch));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<scenario::MetricsAggregator::Scratch>> idle_;
+};
 
 }  // namespace
 
@@ -168,18 +207,36 @@ struct QueryEngine::State {
   scenario::ScenarioMetrics metrics;
 
   /// Recomputes contribs/total/metrics from the runner's cache (after
-  /// prime or rebase). Pure folds over already-enumerated path sets.
-  void refresh_contributions(const scenario::MetricsAggregator& aggregator) {
+  /// prime or rebase) and returns the wall time it took. The per-source
+  /// kernel fans out over the engine's workers; the total is then summed
+  /// serially in source order, so the bytes never depend on the thread
+  /// count.
+  std::uint64_t refresh_contributions(
+      const scenario::MetricsAggregator& aggregator,
+      const EngineConfig& config) {
+    const std::uint64_t start = steady_ns();
     const std::vector<scenario::SourcePathSet>& cache = runner.baseline();
-    contribs.clear();
-    contribs.reserve(cache.size());
+    ScratchPool pool;
+    paths::MapOptions options;
+    options.exec.pin_threads = config.pin_threads;
+    contribs = paths::map_indices(
+        cache.size(), config.threads,
+        [&](std::size_t i) {
+          auto scratch = pool.acquire();
+          const scenario::SourceContribution contribution =
+              aggregator.contribution(overlay, cache[i], *scratch);
+          pool.release(std::move(scratch));
+          return contribution;
+        },
+        options);
     total = scenario::SourceContribution{};
-    scenario::MetricsAggregator::Scratch scratch;
-    for (const scenario::SourcePathSet& sets : cache) {
-      contribs.push_back(aggregator.contribution(overlay, sets, scratch));
-      total += contribs.back();
+    for (const scenario::SourceContribution& contribution : contribs) {
+      total += contribution;
     }
     metrics = scenario::finalize(total);
+    const std::uint64_t fold_ns = steady_ns() - start;
+    engine_metrics().fold_ns.record(fold_ns);
+    return fold_ns;
   }
 };
 
@@ -201,12 +258,12 @@ QueryEngine::QueryEngine(const topology::CompiledTopology& base,
 
 QueryEngine::~QueryEngine() = default;
 
-void QueryEngine::prime() {
+PrimeTiming QueryEngine::prime() {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   {
     const std::shared_lock<std::shared_mutex> lock(state_mutex_);
     if (state_ != nullptr) {
-      return;
+      return {};
     }
   }
   scenario::SweepConfig sweep;
@@ -214,19 +271,23 @@ void QueryEngine::prime() {
   sweep.dirty_radius = scenario::kLength3DirtyRadius;
   sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
+  PrimeTiming timing;
+  const std::uint64_t start = steady_ns();
   state->runner.prime(enumerate);
-  state->refresh_contributions(aggregator_);
+  timing.enumerate_ns = steady_ns() - start;
+  timing.fold_ns = state->refresh_contributions(aggregator_, config_);
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(state);
+  return timing;
 }
 
-void QueryEngine::prime_restored(
+PrimeTiming QueryEngine::prime_restored(
     std::vector<scenario::SourcePathSet>&& baseline) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   {
     const std::shared_lock<std::shared_mutex> lock(state_mutex_);
     if (state_ != nullptr) {
-      return;
+      return {};
     }
   }
   scenario::SweepConfig sweep;
@@ -235,9 +296,11 @@ void QueryEngine::prime_restored(
   sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
   state->runner.restore_baseline(std::move(baseline));
-  state->refresh_contributions(aggregator_);
+  PrimeTiming timing;
+  timing.fold_ns = state->refresh_contributions(aggregator_, config_);
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(state);
+  return timing;
 }
 
 std::shared_ptr<const QueryEngine::State> QueryEngine::snapshot() const {
@@ -411,7 +474,7 @@ void QueryEngine::rebase(const scenario::Delta& step) {
   next->runner.rebase(step, enumerate);
   next->overlay.clear();
   next->overlay.apply(next->runner.state());
-  next->refresh_contributions(aggregator_);
+  next->refresh_contributions(aggregator_, config_);
   {
     const std::unique_lock<std::shared_mutex> lock(state_mutex_);
     state_ = std::move(next);

@@ -155,9 +155,9 @@ struct RequestMetricsRef {
 }  // namespace detail
 
 struct EngineConfig {
-  /// Worker threads of prime()/rebase() per-source fan-outs
-  /// (0 = hardware concurrency). Request handling itself runs on the
-  /// caller's thread.
+  /// Worker threads of the prime()/rebase() per-source fan-outs - path
+  /// enumeration and the contribution refold (0 = hardware
+  /// concurrency). Request handling itself runs on the caller's thread.
   std::size_t threads = 0;
   /// Bound on memoized what-if evaluations per epoch (the epoch batch):
   /// concurrent identical requests share one enumeration up to this many
@@ -168,6 +168,19 @@ struct EngineConfig {
   bool pin_threads = false;
   /// Scoring weights of whatif utilities.
   scenario::UtilityWeights weights;
+};
+
+/// Wall time of one prime, split into its two phases: enumerating the
+/// sampled sources' path sets and folding their contributions.
+struct PrimeTiming {
+  std::uint64_t enumerate_ns = 0;
+  std::uint64_t fold_ns = 0;
+
+  PrimeTiming& operator+=(const PrimeTiming& other) {
+    enumerate_ns += other.enumerate_ns;
+    fold_ns += other.fold_ns;
+    return *this;
+  }
 };
 
 class QueryEngine {
@@ -185,18 +198,20 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Enumerates and caches the baseline of every sampled source and its
-  /// per-source contribution (the expensive one-time cost). Idempotent.
-  void prime();
+  /// Enumerates and caches the baseline of every sampled source, then
+  /// folds its per-source contributions (the one-time cost of a cold
+  /// start). Returns the wall time of both phases. Idempotent: an
+  /// already-primed engine returns zero times.
+  PrimeTiming prime();
 
   /// Primes from an externally restored baseline instead of enumerating:
   /// `baseline` must hold, in sources() order, exactly what prime()'s
   /// enumeration would produce (e.g. deserialized from a snapshot's
-  /// primed-baseline sections). The contribution folds still run (cheap);
-  /// the per-source path enumeration - the expensive part - is skipped
-  /// entirely and no sweep.prime metrics are recorded. Idempotent like
+  /// primed-baseline sections). The per-source path enumeration is
+  /// skipped (enumerate_ns stays 0 and no sweep.prime metrics are
+  /// recorded); the contribution fold still runs. Idempotent like
   /// prime(): a no-op on an already-primed engine.
-  void prime_restored(std::vector<scenario::SourcePathSet>&& baseline);
+  PrimeTiming prime_restored(std::vector<scenario::SourcePathSet>&& baseline);
 
   [[nodiscard]] const std::vector<AsId>& sources() const { return sources_; }
   /// Bumped by every rebase(); whatif memo entries never cross epochs.

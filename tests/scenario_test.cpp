@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "panagree/diversity/geodistance.hpp"
@@ -475,6 +479,264 @@ TEST(Metrics, AddedLinksUseEstimatedFacilitiesNotCentroids) {
                            g.info(added.b).centroid) +
       geo::great_circle_km(g.info(added.b).centroid, g.info(d).centroid);
   EXPECT_NE(actual, centroid_legs);
+}
+
+/// The contribution kernel the slow way, kept only here as the reference
+/// the table-driven MetricsAggregator::contribution must reproduce bit
+/// for bit: per path, the trig formula of GeodistanceModel over the
+/// stored facilities of base links or the estimated ones of added links
+/// (endpoint-centroid legs when an estimate comes back empty),
+/// destinations keyed in a std::map, and path_fee over each
+/// destination's best path.
+class ReferenceFold {
+ public:
+  ReferenceFold(const CompiledTopology& base, const geo::World* world,
+                const MetricsAggregator& aggregator)
+      : graph_(&base.graph()), world_(world), aggregator_(&aggregator) {
+    if (world != nullptr) {
+      model_.emplace(base.graph(), *world);
+    }
+    std::size_t max_stored = 0;
+    for (const topology::Link& link : base.graph().links()) {
+      max_stored = std::max(max_stored, link.facilities.size());
+    }
+    if (max_stored > 0) {
+      max_facilities_ = max_stored;
+    }
+  }
+
+  [[nodiscard]] SourceContribution contribution(
+      const Overlay& overlay, const SourcePathSet& result) {
+    struct Best {
+      diversity::Length3Path path;
+      double km = std::numeric_limits<double>::infinity();
+      bool has_km = false;
+      bool grc_reachable = false;
+    };
+    std::map<AsId, Best> best;
+    const auto consider = [&](const diversity::Length3Path& p, bool grc) {
+      auto [it, inserted] = best.try_emplace(p.dst);
+      Best& slot = it->second;
+      slot.grc_reachable = slot.grc_reachable || grc;
+      const std::optional<double> km = km_of(overlay, p);
+      if (inserted) {
+        slot.path = p;
+        if (km.has_value()) {
+          slot.km = *km;
+          slot.has_km = true;
+        }
+        return;
+      }
+      if (km.has_value() && *km < slot.km) {
+        slot.path = p;
+        slot.km = *km;
+        slot.has_km = true;
+      }
+    };
+    for (const diversity::Length3Path& p : result.grc()) {
+      consider(p, true);
+    }
+    for (const diversity::Length3Path& p : result.ma()) {
+      consider(p, false);
+    }
+    SourceContribution out;
+    out.grc_paths = result.grc().size();
+    out.ma_paths = result.ma().size();
+    for (const auto& [dst, slot] : best) {
+      if (slot.grc_reachable) {
+        ++out.grc_pairs;
+      } else {
+        ++out.ma_extra_pairs;
+      }
+      if (slot.has_km) {
+        out.km_sum += slot.km;
+        ++out.km_pairs;
+      }
+      const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
+      out.transit_fees += aggregator_->path_fee(overlay, hops, 1.0);
+    }
+    return out;
+  }
+
+  /// Paths priced over an overlay-added hop, and how many of those fell
+  /// back to centroid legs - so a test can prove both branches ran.
+  std::size_t added_hops = 0;
+  std::size_t centroid_fallbacks = 0;
+
+ private:
+  std::optional<double> km_of(const Overlay& overlay,
+                              const diversity::Length3Path& p) {
+    if (!model_.has_value() || !graph_->info(p.src).has_geo ||
+        !graph_->info(p.mid).has_geo || !graph_->info(p.dst).has_geo) {
+      return std::nullopt;
+    }
+    const std::uint32_t l1 = *overlay.link_between(p.src, p.mid);
+    const std::uint32_t l2 = *overlay.link_between(p.mid, p.dst);
+    const auto facilities = [&](std::uint32_t link) {
+      if (link < overlay.first_added_link_id()) {
+        return graph_->link(link).facilities;
+      }
+      const LinkChange& change = overlay.added_link(link);
+      topology::Link estimated;
+      estimated.a = change.a;
+      estimated.b = change.b;
+      estimated.type = change.type;
+      return topology::estimate_link_facilities(*graph_, *world_, estimated,
+                                                max_facilities_);
+    };
+    const std::vector<std::size_t> sm = facilities(l1);
+    const std::vector<std::size_t> md = facilities(l2);
+    if (l1 >= overlay.first_added_link_id() ||
+        l2 >= overlay.first_added_link_id()) {
+      ++added_hops;
+    }
+    if (sm.empty() || md.empty()) {
+      ++centroid_fallbacks;
+      return geo::great_circle_km(graph_->info(p.src).centroid,
+                                  graph_->info(p.mid).centroid) +
+             geo::great_circle_km(graph_->info(p.mid).centroid,
+                                  graph_->info(p.dst).centroid);
+    }
+    return model_->path_geodistance_km(p.src, p.mid, p.dst, sm, md);
+  }
+
+  const Graph* graph_;
+  const geo::World* world_;
+  const MetricsAggregator* aggregator_;
+  std::optional<diversity::GeodistanceModel> model_;
+  std::size_t max_facilities_ = 3;
+};
+
+[[nodiscard]] bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_bit_identical(const SourceContribution& actual,
+                          const SourceContribution& expected,
+                          const std::string& where) {
+  EXPECT_EQ(actual.grc_paths, expected.grc_paths) << where;
+  EXPECT_EQ(actual.ma_paths, expected.ma_paths) << where;
+  EXPECT_EQ(actual.grc_pairs, expected.grc_pairs) << where;
+  EXPECT_EQ(actual.ma_extra_pairs, expected.ma_extra_pairs) << where;
+  EXPECT_EQ(actual.km_pairs, expected.km_pairs) << where;
+  EXPECT_TRUE(same_bytes(actual.km_sum, expected.km_sum))
+      << where << ": km_sum " << actual.km_sum << " vs " << expected.km_sum;
+  EXPECT_TRUE(same_bytes(actual.transit_fees, expected.transit_fees))
+      << where << ": fees " << actual.transit_fees << " vs "
+      << expected.transit_fees;
+}
+
+/// A randomized what-if over `g`: added peerings (one from each of
+/// `stripped`, ASes without PoPs), removed links, and one
+/// provider->customer rewire of a base peering.
+Delta random_rewire_delta(const Graph& g, const std::vector<AsId>& stripped,
+                          util::Rng& rng) {
+  Delta delta;
+  std::vector<std::pair<AsId, AsId>> used;
+  const auto fresh = [&](AsId a, AsId b) {
+    return std::none_of(used.begin(), used.end(), [&](const auto& pair) {
+      return (pair.first == a && pair.second == b) ||
+             (pair.first == b && pair.second == a);
+    });
+  };
+  const auto add_peering_from = [&](AsId a) {
+    for (;;) {
+      const auto b = static_cast<AsId>(rng.uniform_index(g.num_ases()));
+      if (a != b && !g.link_between(a, b).has_value() && fresh(a, b)) {
+        delta.add.push_back({a, b, LinkType::kPeering});
+        used.emplace_back(a, b);
+        return;
+      }
+    }
+  };
+  for (const AsId a : stripped) {
+    add_peering_from(a);
+  }
+  for (int i = 0; i < 3; ++i) {
+    add_peering_from(static_cast<AsId>(rng.uniform_index(g.num_ases())));
+  }
+  bool rewired = false;
+  while (!rewired) {
+    const topology::Link& link = g.link(rng.uniform_index(g.num_links()));
+    if (link.type == LinkType::kPeering && fresh(link.a, link.b)) {
+      delta.remove.emplace_back(link.a, link.b);
+      delta.add.push_back({link.a, link.b, LinkType::kProviderCustomer});
+      used.emplace_back(link.a, link.b);
+      rewired = true;
+    }
+  }
+  for (int removed = 0; removed < 2;) {
+    const topology::Link& link = g.link(rng.uniform_index(g.num_links()));
+    if (fresh(link.a, link.b)) {
+      delta.remove.emplace_back(link.a, link.b);
+      used.emplace_back(link.a, link.b);
+      ++removed;
+    }
+  }
+  return delta;
+}
+
+/// The kernel's bit-identity contract: over randomized overlays (added
+/// peerings, removals, a provider->customer rewire), with and without
+/// geodata, every source's contribution equals the trig reference byte
+/// for byte - through one Scratch reused across sources and overlays and
+/// through a fresh one per call.
+TEST(Metrics, ContributionIsBitIdenticalToTheTrigReference) {
+  topology::GeneratedTopology topo = topology::generate_internet([] {
+    topology::GeneratorParams params;
+    params.num_ases = 200;
+    params.tier1_count = 4;
+    params.seed = 21;
+    return params;
+  }());
+  // ASes without PoPs: overlay-added links at them estimate no
+  // facilities, which is the centroid-leg fallback's case.
+  const std::vector<AsId> stripped{40, 170};
+  for (const AsId as : stripped) {
+    topo.graph.info(as).pops.clear();
+  }
+  const Graph& g = topo.graph;
+  const CompiledTopology compiled(g);
+  const econ::Economy economy = econ::make_default_economy(g);
+
+  std::vector<Delta> deltas{Delta{}};
+  util::Rng rng(2026);
+  for (int i = 0; i < 4; ++i) {
+    deltas.push_back(random_rewire_delta(g, stripped, rng));
+  }
+
+  const std::vector<const geo::World*> worlds{&topo.world, nullptr};
+  for (const geo::World* world : worlds) {
+    const MetricsAggregator aggregator(compiled, world, &economy);
+    ReferenceFold reference(compiled, world, aggregator);
+    MetricsAggregator::Scratch shared;
+    for (std::size_t d = 0; d < deltas.size(); ++d) {
+      Overlay overlay(compiled);
+      overlay.apply(deltas[d]);
+      std::vector<AsId> sources = overlay.touched();
+      for (AsId as = 0; as < g.num_ases(); as += 6) {
+        sources.push_back(as);
+      }
+      for (const AsId src : sources) {
+        const SourcePathSet sets = enumerate_length3(overlay, src);
+        const SourceContribution expected =
+            reference.contribution(overlay, sets);
+        const std::string where = std::string(world ? "geo" : "no-geo") +
+                                  " delta " + std::to_string(d) +
+                                  " source " + std::to_string(src);
+        expect_bit_identical(aggregator.contribution(overlay, sets, shared),
+                             expected, where);
+        expect_bit_identical(aggregator.contribution(overlay, sets),
+                             expected, where + " (fresh scratch)");
+      }
+    }
+    if (world != nullptr) {
+      EXPECT_GT(reference.added_hops, 0u);
+      EXPECT_GT(reference.centroid_fallbacks, 0u);
+    } else {
+      EXPECT_EQ(reference.added_hops, 0u);
+    }
+  }
 }
 
 }  // namespace

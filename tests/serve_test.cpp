@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/slowlog.hpp"
 #include "panagree/obs/trace.hpp"
+#include "panagree/paths/parallel.hpp"
 #include "panagree/serve/client.hpp"
 #include "panagree/serve/server.hpp"
 #include "panagree/serve/wire.hpp"
@@ -443,6 +446,113 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   const WhatIfResult served = engine->whatif(probe);
   EXPECT_DOUBLE_EQ(served.utility, scenario::operator_utility(marginal));
   EXPECT_EQ(served.recomputed_sources, stats.recomputed_sources);
+}
+
+[[nodiscard]] bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The fixture's served numbers, pinned as hex-float literals: any
+/// change to the contribution kernel or the refold must keep producing
+/// exactly these doubles.
+TEST(QueryEngine, StateMetricsAndWhatIfUtilitiesArePinned) {
+  const ServeFixture& f = fixture();
+  const auto engine = f.make_engine();
+  const scenario::ScenarioMetrics metrics = engine->state_metrics();
+  EXPECT_EQ(metrics.grc_paths, 6413u);
+  EXPECT_EQ(metrics.ma_paths, 16554u);
+  EXPECT_EQ(metrics.grc_pairs, 5188u);
+  EXPECT_EQ(metrics.ma_extra_pairs, 3115u);
+  EXPECT_TRUE(same_bytes(metrics.mean_best_geodistance_km,
+                         0x1.239e32275ec02p+13))
+      << metrics.mean_best_geodistance_km;
+  EXPECT_TRUE(same_bytes(metrics.transit_fees, 0x1.0010000000003p+12))
+      << metrics.transit_fees;
+
+  const double utilities[] = {
+      -0x1.258998206f8f6p+1, 0x0p+0,  0x1.b4c4d8370f5c3p-6,
+      0x1.6677dd2b55c29p+1,  0x0p+0,  0x0p+0,
+      0x1.2347cca3f64e1p+2,  -0x1.644382b0fdc29p+0,
+      0x1.008be7d2151c3p+1,  0x0p+0,
+  };
+  const std::vector<scenario::Delta> deltas = f.candidates(10);
+  ASSERT_EQ(deltas.size(), std::size(utilities));
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    const double utility = engine->whatif(deltas[i]).utility;
+    EXPECT_TRUE(same_bytes(utility, utilities[i]))
+        << "candidate " << i << ": " << utility;
+  }
+}
+
+/// Everything an engine serves that the contribution refold feeds, as
+/// one byte string: state metrics and every sampled source's diversity
+/// (doubles in hex-float form), then the handle_line responses of
+/// `whatifs`.
+std::string refold_transcript(const ServeFixture& f, const QueryEngine& engine,
+                              const std::vector<std::string>& whatifs) {
+  std::string out;
+  const auto put = [&](double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, " %a", value);
+    out += buf;
+  };
+  const scenario::ScenarioMetrics metrics = engine.state_metrics();
+  out += "state " + std::to_string(metrics.grc_paths) + ' ' +
+         std::to_string(metrics.ma_paths) + ' ' +
+         std::to_string(metrics.grc_pairs) + ' ' +
+         std::to_string(metrics.ma_extra_pairs);
+  put(metrics.mean_best_geodistance_km);
+  put(metrics.transit_fees);
+  out += '\n';
+  for (const AsId src : f.sources_) {
+    const DiversityResult d = engine.diversity(src);
+    out += "diversity " + std::to_string(src) + ' ' +
+           std::to_string(d.grc_paths) + ' ' + std::to_string(d.ma_paths) +
+           ' ' + std::to_string(d.grc_pairs) + ' ' +
+           std::to_string(d.ma_extra_pairs);
+    put(d.mean_best_geodistance_km);
+    put(d.transit_fees);
+    out += '\n';
+  }
+  for (const std::string& line : whatifs) {
+    engine.handle_line(line, out);
+  }
+  return out;
+}
+
+/// The parallel refold (prime and rebase) serves the same bytes at any
+/// engine thread count. The fixture's 40 sources exceed the driver's
+/// serial threshold, so threads > 1 really fan out.
+TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
+  const ServeFixture& f = fixture();
+  ASSERT_GT(f.sources_.size(), paths::kMinParallelSources);
+  const std::vector<scenario::Delta> deltas = f.candidates(6);
+  ASSERT_GE(deltas.size(), 4u);
+  std::vector<std::string> whatifs;
+  for (std::size_t i = 1; i < deltas.size(); ++i) {
+    const scenario::LinkChange& link = deltas[i].add.front();
+    whatifs.push_back(R"({"v":1,"id":)" + std::to_string(i) +
+                      R"(,"kind":"whatif","add":[{"a":)" +
+                      std::to_string(link.a) + R"(,"b":)" +
+                      std::to_string(link.b) + R"(,"type":"peering"}]})");
+  }
+
+  std::vector<std::string> primed;
+  std::vector<std::string> rebased;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EngineConfig config;
+    config.threads = threads;
+    const auto engine = f.make_engine(config);
+    primed.push_back(refold_transcript(f, *engine, whatifs));
+    engine->rebase(deltas[0]);
+    rebased.push_back(refold_transcript(f, *engine, whatifs));
+  }
+  for (std::size_t i = 1; i < primed.size(); ++i) {
+    EXPECT_EQ(primed[i], primed[0]) << "thread config " << i;
+    EXPECT_EQ(rebased[i], rebased[0]) << "thread config " << i;
+  }
+  // The rebase moved the state, so the comparison covers two refolds.
+  EXPECT_NE(rebased[0], primed[0]);
 }
 
 TEST(QueryEngine, StatsRequestServesLiveRegistrySnapshot) {

@@ -14,13 +14,12 @@
 // --snapshot FILE or PANAGREE_SNAPSHOT=FILE.
 //
 // --shards N additionally writes the source-partitioned serving plan and
-// the primed per-source baseline (the sharded daemon's mmap-only cold
-// start): the canonical source sample (--sources M, default the benches'
-// PANAGREE_SOURCES, sampled with the shared seed) is cut into N
-// contiguous ranges, the length-3 baseline of every source is enumerated
-// here - the expensive part of the daemon's prime() - and persisted, so
+// the primed per-source baseline: the canonical source sample
+// (--sources M, default the benches' PANAGREE_SOURCES, sampled with the
+// shared seed) is cut into N contiguous ranges, and the length-3
+// baseline of every source is enumerated here and persisted, so
 // panagree-serve adopts it straight off the mapping instead of
-// recomputing it at every start.
+// enumerating at every start (its contribution fold still runs there).
 #include <algorithm>
 #include <chrono>
 #include <iostream>

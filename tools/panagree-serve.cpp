@@ -16,8 +16,11 @@
 // --shards 1); the router also serves the admin `rebase` wire kind.
 // When the snapshot carries a primed baseline for exactly this source
 // sample (panagree-compile --shards), priming adopts it straight off
-// the mapping - no path enumeration, cold start is one mmap - and the
-// readiness line reports primed=snapshot (primed=computed otherwise).
+// the mapping instead of enumerating paths, and the readiness line
+// reports primed=snapshot (primed=computed otherwise). Either way
+// priming folds every source's contribution, and the readiness line
+// ends with the wall time of both phases (enumerate_ms=, 0 for a
+// snapshot baseline, and fold_ms=).
 //
 // --port 0 binds an ephemeral port; the chosen port is in the
 // "listening" line. That line goes to *stdout* (everything else to
@@ -46,6 +49,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -95,6 +99,17 @@ void emit_stats_line(std::uint64_t epoch) {
     }
   }
   std::cerr << std::endl;
+}
+
+/// "enumerate_ms=E fold_ms=F": the two prime phases, one decimal each.
+std::string prime_phase_fields(const serve::PrimeTiming& timing) {
+  const auto ms = [](std::uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.1f", static_cast<double>(ns) / 1e6);
+    return std::string(buf);
+  };
+  return "enumerate_ms=" + ms(timing.enumerate_ns) +
+         " fold_ms=" + ms(timing.fold_ns);
 }
 
 /// Self-pipe the signal handlers write one byte into; main blocks on the
@@ -180,17 +195,18 @@ int main(int argc, char** argv) {
                                           context.net.compiled());
     }
     const auto prime_start = std::chrono::steady_clock::now();
-    const bool primed_from_snapshot = context.prime();
+    const servecfg::ServeContext::PrimeReport primed = context.prime();
     const double prime_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() -
                                 prime_start)
                                 .count();
+    const std::string phase_ms = prime_phase_fields(primed.timing);
     std::cerr << "[serve] primed " << context.sources.size()
               << " sources across " << shards << " shard"
               << (shards == 1 ? "" : "s") << " in " << prime_ms << " ms ("
-              << (primed_from_snapshot ? "snapshot baseline"
-                                       : "fresh enumeration")
-              << ", " << context.net.graph().num_ases() << " ASes)\n";
+              << (primed.restored ? "snapshot baseline" : "fresh enumeration")
+              << ", " << context.net.graph().num_ases() << " ASes) "
+              << phase_ms << "\n";
 
     serve::ServerConfig server_config;
     server_config.port = static_cast<std::uint16_t>(port);
@@ -218,10 +234,11 @@ int main(int argc, char** argv) {
               << " affinity=" << paths::affinity_summary()
               << " pinned=" << (pin_threads ? "on" : "off")
               << " shards=" << shards
-              << " primed=" << (primed_from_snapshot ? "snapshot" : "computed")
+              << " primed=" << (primed.restored ? "snapshot" : "computed")
               << " numa=\"" << paths::TopologyPlacement::system().describe()
               << "\" simd=" << paths::role_filter_dispatch()
-              << " build=" << obs::build_info().git_describe << std::endl;
+              << " build=" << obs::build_info().git_describe << " "
+              << phase_ms << std::endl;
 
     // Idle-wait for the shutdown byte; with --stats-interval the wait
     // is chopped into poll timeouts that each emit one stats line.
