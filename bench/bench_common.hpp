@@ -122,12 +122,6 @@ class Internet {
     return *compiled_;
   }
   [[nodiscard]] bool from_snapshot() const { return snapshot_.has_value(); }
-  /// The backing mapped snapshot, or nullptr when generated / CAIDA-
-  /// parsed (the sharded serving path reads the shard-plan and
-  /// primed-baseline sections straight off it).
-  [[nodiscard]] const storage::MappedSnapshot* snapshot() const {
-    return snapshot_ ? &*snapshot_ : nullptr;
-  }
   /// Wall time of the load (snapshot mmap or generate/parse + embed).
   [[nodiscard]] double load_ms() const { return load_ms_; }
 

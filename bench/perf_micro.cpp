@@ -839,19 +839,14 @@ void BM_Metrics_Contribution(benchmark::State& state) {
 }
 BENCHMARK(BM_Metrics_Contribution)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- sharded serving pair
+// ------------------------------------------------- sharded serving
 //
-// The sharded-serving additions. BM_Serve_ShardedWhatIf is the 4-shard
-// twin of BM_QueryEngine_WhatIfBatched: the same candidate deltas scored
+// BM_Serve_ShardedWhatIf is the 4-shard twin of
+// BM_QueryEngine_WhatIfBatched: the same candidate deltas scored
 // through a serve::ShardRouter (per-shard whatif_slice fan-out + the
 // router's in-order contribution fold), memo flushed per batch so the
 // sharded evaluation is measured, not the router memo hit; utility_sum
 // must match the single-engine entry (byte-identity property).
-// BM_SnapshotLoad_PrimedBaseline is the mmap-only cold start: open a
-// snapshot compiled with a shard plan (panagree-compile --shards),
-// rebuild the per-source path caches straight off the primed-baseline
-// section, and prime_restored() an engine - zero enumeration. Compare
-// against the prime_ns a fresh ScenarioSweep prime pays.
 
 serve::ShardRouter& cached_router() {
   // Leaked like cached_engine(): router and shards are not movable and
@@ -900,88 +895,6 @@ void BM_Serve_ShardedWhatIf(benchmark::State& state) {
       recomputed / static_cast<double>(deltas.size());
 }
 BENCHMARK(BM_Serve_ShardedWhatIf)->Unit(benchmark::kMillisecond);
-
-const std::string& primed_snapshot_fixture() {
-  static const std::string path = [] {
-    const std::string file = (std::filesystem::temp_directory_path() /
-                              "panagree_perf_micro_primed.pansnap")
-                                 .string();
-    scenario::SweepConfig config;
-    config.dirty_radius = scenario::kLength3DirtyRadius;
-    scenario::SweepRunner<scenario::SourcePathSet> runner(
-        cached_compiled(), sweep_sources(), config);
-    runner.prime([](const scenario::Overlay& overlay, topology::AsId src) {
-      return scenario::enumerate_length3(overlay, src);
-    });
-    storage::ShardPlanData plan;
-    plan.num_shards = 4;
-    plan.sources = sweep_sources();
-    const std::size_t n = plan.sources.size();
-    for (std::size_t s = 0; s <= plan.num_shards; ++s) {
-      plan.shard_begin.push_back(
-          static_cast<std::uint32_t>(s * n / plan.num_shards));
-    }
-    plan.path_begin.push_back(0);
-    for (const scenario::SourcePathSet& set : runner.baseline()) {
-      plan.grc_counts.push_back(
-          static_cast<std::uint32_t>(set.grc().size()));
-      plan.path_begin.push_back(
-          plan.path_begin.back() +
-          static_cast<std::uint32_t>(set.grc().size() + set.ma().size()));
-      for (const auto paths : {set.grc(), set.ma()}) {
-        for (const diversity::Length3Path& p : paths) {
-          plan.path_words.push_back(p.src);
-          plan.path_words.push_back(p.mid);
-          plan.path_words.push_back(p.dst);
-        }
-      }
-    }
-    storage::write_snapshot(file, cached_topology(), cached_compiled(),
-                            &plan);
-    return file;
-  }();
-  return path;
-}
-
-void BM_SnapshotLoad_PrimedBaseline(benchmark::State& state) {
-  const std::string& path = primed_snapshot_fixture();
-  std::size_t checksum = 0;
-  for (auto _ : state) {
-    const storage::MappedSnapshot snapshot =
-        storage::MappedSnapshot::open(path);
-    const storage::ShardPlanView& plan = *snapshot.shard_plan();
-    const storage::PrimedBaselineView& baseline =
-        *snapshot.primed_baseline();
-    serve::QueryEngine engine(
-        cached_compiled(), &cached_topology().world, &cached_economy(),
-        std::vector<topology::AsId>(plan.sources.begin(),
-                                    plan.sources.end()));
-    std::vector<scenario::SourcePathSet> restored;
-    restored.reserve(plan.sources.size());
-    for (std::size_t i = 0; i < plan.sources.size(); ++i) {
-      scenario::SourcePathSet set;
-      const std::size_t grc = baseline.grc_counts[i];
-      for (std::size_t p = baseline.path_begin[i];
-           p < baseline.path_begin[i + 1]; ++p) {
-        const diversity::Length3Path restored_path{
-            baseline.path_words[3 * p], baseline.path_words[3 * p + 1],
-            baseline.path_words[3 * p + 2]};
-        if (p - baseline.path_begin[i] < grc) {
-          set.add_grc(restored_path);
-        } else {
-          set.add_ma(restored_path);
-        }
-      }
-      restored.push_back(std::move(set));
-    }
-    engine.prime_restored(std::move(restored));
-    checksum = engine.sources().size() + baseline.path_words.size();
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * sweep_sources().size());
-  state.counters["checksum"] = static_cast<double>(checksum);
-}
-BENCHMARK(BM_SnapshotLoad_PrimedBaseline)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- parallel driver trio
 //

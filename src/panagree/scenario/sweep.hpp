@@ -194,21 +194,6 @@ class SweepRunner {
     }
   }
 
-  /// Installs an externally produced baseline (e.g. deserialized from a
-  /// snapshot's primed-baseline sections) as if prime() had run: `results`
-  /// becomes the cache (must be in sources() order and equal what
-  /// `fn(empty overlay, source)` would compute - the caller vouches for
-  /// that), state() resets to empty. Records no prime metrics: the whole
-  /// point is that nothing was enumerated.
-  void restore_baseline(std::vector<Result>&& results) {
-    util::require(results.size() == sources_.size(),
-                  "SweepRunner::restore_baseline: result count does not "
-                  "match the source sample");
-    cache_ = std::move(results);
-    state_ = Delta{};
-    primed_ = true;
-  }
-
   /// The cached per-source results of state(), in sources() order (the
   /// base-snapshot baseline until the first rebase).
   [[nodiscard]] const std::vector<Result>& baseline() const {

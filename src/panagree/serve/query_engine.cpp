@@ -281,28 +281,6 @@ PrimeTiming QueryEngine::prime() {
   return timing;
 }
 
-PrimeTiming QueryEngine::prime_restored(
-    std::vector<scenario::SourcePathSet>&& baseline) {
-  const std::lock_guard<std::mutex> writer(rebase_mutex_);
-  {
-    const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    if (state_ != nullptr) {
-      return {};
-    }
-  }
-  scenario::SweepConfig sweep;
-  sweep.threads = config_.threads;
-  sweep.dirty_radius = scenario::kLength3DirtyRadius;
-  sweep.exec.pin_threads = config_.pin_threads;
-  auto state = std::make_shared<State>(*base_, sources_, sweep);
-  state->runner.restore_baseline(std::move(baseline));
-  PrimeTiming timing;
-  timing.fold_ns = state->refresh_contributions(aggregator_, config_);
-  const std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  state_ = std::move(state);
-  return timing;
-}
-
 std::shared_ptr<const QueryEngine::State> QueryEngine::snapshot() const {
   const std::shared_lock<std::shared_mutex> lock(state_mutex_);
   util::require(state_ != nullptr, "QueryEngine: prime() first");

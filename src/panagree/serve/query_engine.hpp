@@ -204,15 +204,6 @@ class QueryEngine {
   /// already-primed engine returns zero times.
   PrimeTiming prime();
 
-  /// Primes from an externally restored baseline instead of enumerating:
-  /// `baseline` must hold, in sources() order, exactly what prime()'s
-  /// enumeration would produce (e.g. deserialized from a snapshot's
-  /// primed-baseline sections). The per-source path enumeration is
-  /// skipped (enumerate_ns stays 0 and no sweep.prime metrics are
-  /// recorded); the contribution fold still runs. Idempotent like
-  /// prime(): a no-op on an already-primed engine.
-  PrimeTiming prime_restored(std::vector<scenario::SourcePathSet>&& baseline);
-
   [[nodiscard]] const std::vector<AsId>& sources() const { return sources_; }
   /// Bumped by every rebase(); whatif memo entries never cross epochs.
   [[nodiscard]] std::uint64_t epoch() const;

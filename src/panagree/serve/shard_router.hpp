@@ -54,8 +54,8 @@ class ShardRouter {
   /// `shards` are the owned-by-caller engines, in partition order: the
   /// concatenation of their sources() must be the canonical sample, and
   /// every source must appear in exactly one shard. The engines must
-  /// outlive the router. Prime the shards (prime() or prime_restored()),
-  /// then call refresh_baseline() before serving.
+  /// outlive the router. Prime the shards, then call refresh_baseline()
+  /// before serving.
   ShardRouter(std::vector<QueryEngine*> shards, RouterConfig config = {});
   ~ShardRouter();
 

@@ -19,7 +19,10 @@
 // Versioning policy: the format is rewrite-on-change. Any layout change
 // bumps kFormatVersion, and readers reject every version but their own -
 // snapshots are cheap, derived artifacts (recompile with panagree-compile),
-// so there is no migration path to maintain.
+// so there is no migration path to maintain. Within a version, readers
+// skip section kinds they do not read (every record is still bounds- and
+// duplicate-checked), so files that carry retired kinds keep opening.
+// Kinds 60-62 and 70-72 are retired and never reused (see SectionKind).
 #pragma once
 
 #include <cstddef>
@@ -99,21 +102,10 @@ enum class SectionKind : std::uint32_t {
   kTier1 = 50,  // u32[...]
   kTier2 = 51,  // u32[...]
   kTier3 = 52,  // u32[...]
-  // Sharded-serving plan (optional; written by panagree-compile --shards).
-  // The source sample is stored in its canonical order and partitioned
-  // into contiguous per-shard ranges - contiguity is what lets a shard
-  // router fold per-shard results back in the exact single-engine order.
-  kShardSourceIds = 60,   // u32[num_sources] sampled sources, canonical order
-  kShardSourceBegin = 61, // u32[num_shards + 1] partition offsets
-  kShardRowRanges = 62,   // u32[2 * num_shards] CSR row [first, last) spans
-  // Primed baseline (optional; requires the shard plan sections). Persists
-  // the SweepRunner's per-source path caches so a daemon can restore its
-  // baseline straight off the mapping instead of running prime(). Paths
-  // are concatenated per source, GRC paths first then MA paths, each path
-  // three u32 AS ids (src, mid, dst).
-  kBaselineGrcCounts = 70, // u32[num_sources] GRC path count per source
-  kBaselinePathBegin = 71, // u32[num_sources + 1] path begin offsets
-  kBaselinePaths = 72,     // u32[3 * total_paths] (src, mid, dst) triples
+  // Retired, never reused: 60-62 held a sharded-serving plan
+  // (kShardSourceIds, kShardSourceBegin, kShardRowRanges) and 70-72 a
+  // primed path baseline (kBaselineGrcCounts, kBaselinePathBegin,
+  // kBaselinePaths).
 };
 
 struct SectionRecord {

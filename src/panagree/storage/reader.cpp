@@ -40,12 +40,15 @@ class SectionIndex {
              std::to_string(header_.file_bytes) + " bytes, mapped " +
              std::to_string(size_) + ")");
     }
-    const std::size_t table_bytes =
-        header_.section_count * sizeof(SectionRecord);
+    // Bound the record count by what fits behind the table offset; the
+    // byte product count * sizeof(SectionRecord) can wrap in 64 bits.
     if (header_.section_table_offset > size_ ||
-        table_bytes > size_ - header_.section_table_offset) {
+        header_.section_count >
+            (size_ - header_.section_table_offset) / sizeof(SectionRecord)) {
       reject("section table out of bounds");
     }
+    // Every record is checked, including kinds open() never looks up
+    // (retired or unknown ones), which are then simply skipped.
     for (std::uint64_t i = 0; i < header_.section_count; ++i) {
       SectionRecord record;
       std::memcpy(&record,
@@ -110,11 +113,6 @@ class SectionIndex {
     }
     return array<std::uint32_t>(kind,
                                 record.bytes / sizeof(std::uint32_t));
-  }
-
-  /// Whether the snapshot carries `kind` at all (optional sections).
-  [[nodiscard]] bool has(SectionKind kind) const {
-    return records_.count(static_cast<std::uint32_t>(kind)) != 0;
   }
 
  private:
@@ -356,67 +354,6 @@ MappedSnapshot MappedSnapshot::open(const std::string& path) {
   state->compiled = topology::CompiledTopology::borrow(
       state->graph, row_start, providers_end, peers_end, entries);
 
-  // ------------------------- shard plan + primed baseline (optional)
-  // Older snapshots simply lack these sections; newer snapshots always
-  // write the six together, so a partial set is a corrupt file.
-  if (sections.has(SectionKind::kShardSourceIds)) {
-    if (!sections.has(SectionKind::kShardSourceBegin) ||
-        !sections.has(SectionKind::kShardRowRanges) ||
-        !sections.has(SectionKind::kBaselineGrcCounts) ||
-        !sections.has(SectionKind::kBaselinePathBegin) ||
-        !sections.has(SectionKind::kBaselinePaths)) {
-      reject("shard plan sections are incomplete");
-    }
-    ShardPlanView plan;
-    plan.sources = sections.id_list(SectionKind::kShardSourceIds);
-    for (const AsId source : plan.sources) {
-      if (source >= n) {
-        reject("shard source out of range");
-      }
-    }
-    plan.shard_begin = sections.id_list(SectionKind::kShardSourceBegin);
-    if (plan.shard_begin.size() < 2) {
-      reject("shard partition must have at least one shard");
-    }
-    check_begins(plan.shard_begin, "shard partition");
-    if (plan.shard_begin.back() != plan.sources.size()) {
-      reject("shard partition does not cover the source sample");
-    }
-    plan.num_shards = plan.shard_begin.size() - 1;
-    plan.row_ranges = sections.array<std::uint32_t>(
-        SectionKind::kShardRowRanges, 2 * plan.num_shards);
-    for (std::size_t shard = 0; shard < plan.num_shards; ++shard) {
-      if (plan.row_ranges[2 * shard] > plan.row_ranges[2 * shard + 1] ||
-          plan.row_ranges[2 * shard + 1] > entries.size()) {
-        reject("shard CSR row range out of bounds");
-      }
-    }
-
-    const std::size_t num_sources = plan.sources.size();
-    PrimedBaselineView baseline;
-    baseline.grc_counts = sections.array<std::uint32_t>(
-        SectionKind::kBaselineGrcCounts, num_sources);
-    baseline.path_begin = sections.array<std::uint32_t>(
-        SectionKind::kBaselinePathBegin, num_sources + 1);
-    check_begins(baseline.path_begin, "baseline paths");
-    for (std::size_t i = 0; i < num_sources; ++i) {
-      if (baseline.grc_counts[i] >
-          baseline.path_begin[i + 1] - baseline.path_begin[i]) {
-        reject("baseline GRC count exceeds the source's path row");
-      }
-    }
-    baseline.path_words = sections.array<std::uint32_t>(
-        SectionKind::kBaselinePaths,
-        std::size_t{3} * baseline.path_begin.back());
-    for (const std::uint32_t word : baseline.path_words) {
-      if (word >= n) {
-        reject("baseline path AS id out of range");
-      }
-    }
-    state->shard_plan = plan;
-    state->primed_baseline = baseline;
-  }
-
   const MmapAdviceReport advice = apply_advice(file, sections);
   if constexpr (obs::enabled()) {
     obs::Registry& registry = obs::Registry::global();
@@ -426,10 +363,6 @@ MappedSnapshot MappedSnapshot::open(const std::string& path) {
     registry.gauge("storage.willneed_applied")
         .set(advice.willneed_applied ? 1 : 0);
     registry.gauge("storage.thp_applied").set(advice.hugepage_applied ? 1 : 0);
-    registry.gauge("storage.shard_plan")
-        .set(state->shard_plan
-                 ? static_cast<std::int64_t>(state->shard_plan->num_shards)
-                 : 0);
   }
   return MappedSnapshot(std::move(file), std::move(state), advice);
 }

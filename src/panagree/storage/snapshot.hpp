@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,38 +35,6 @@ namespace panagree::storage {
 
 using topology::AsId;
 
-/// Source-partitioned serving plan plus the primed per-source baseline,
-/// staged for writing. `sources` is the canonical sample order;
-/// `shard_begin` (num_shards + 1 offsets) cuts it into contiguous shard
-/// ranges. The baseline arrays persist one SweepRunner path cache:
-/// per-source GRC counts, per-source path begin offsets (in paths, not
-/// bytes), and the flat (src, mid, dst) triple payload, GRC paths first
-/// then MA paths within each source.
-struct ShardPlanData {
-  std::size_t num_shards = 0;
-  std::vector<AsId> sources;
-  std::vector<std::uint32_t> shard_begin;
-  std::vector<std::uint32_t> grc_counts;
-  std::vector<std::uint32_t> path_begin;
-  std::vector<std::uint32_t> path_words;
-};
-
-/// Zero-copy view of the shard plan sections of a mapped snapshot.
-struct ShardPlanView {
-  std::size_t num_shards = 0;
-  std::span<const AsId> sources;               ///< canonical sample order
-  std::span<const std::uint32_t> shard_begin;  ///< num_shards + 1
-  std::span<const std::uint32_t> row_ranges;   ///< 2 * num_shards
-};
-
-/// Zero-copy view of the primed-baseline sections of a mapped snapshot.
-/// Indexed parallel to ShardPlanView::sources.
-struct PrimedBaselineView {
-  std::span<const std::uint32_t> grc_counts;  ///< per source
-  std::span<const std::uint32_t> path_begin;  ///< num_sources + 1, in paths
-  std::span<const std::uint32_t> path_words;  ///< 3 * total_paths
-};
-
 /// Writes `topo` (graph + world + tier lists) and its compiled CSR
 /// snapshot to `path` as a version-1 .pansnap. `compiled` must be a
 /// compilation of `topo.graph`. The file is written to a temporary sibling
@@ -77,14 +44,6 @@ struct PrimedBaselineView {
 void write_snapshot(const std::string& path,
                     const topology::GeneratedTopology& topo,
                     const topology::CompiledTopology& compiled);
-
-/// Same, plus the optional shard plan + primed baseline sections. The
-/// per-shard CSR row ranges are derived here from `compiled`. `plan` may
-/// be nullptr (then identical to the three-argument overload).
-void write_snapshot(const std::string& path,
-                    const topology::GeneratedTopology& topo,
-                    const topology::CompiledTopology& compiled,
-                    const ShardPlanData* plan);
 
 /// What open() asked the kernel about the mapping's access pattern, and
 /// what the kernel accepted. WILLNEED prefetch covers the CSR sections
@@ -133,25 +92,12 @@ class MappedSnapshot {
   [[nodiscard]] std::size_t file_bytes() const { return file_.size(); }
   /// The access-pattern advice open() applied to the mapping.
   [[nodiscard]] const MmapAdviceReport& advice() const { return advice_; }
-  /// The shard plan sections, if the snapshot carries them (compiled with
-  /// --shards). Spans borrow the mapping.
-  [[nodiscard]] const std::optional<ShardPlanView>& shard_plan() const {
-    return state_->shard_plan;
-  }
-  /// The primed-baseline sections, if present (always alongside a shard
-  /// plan). Spans borrow the mapping.
-  [[nodiscard]] const std::optional<PrimedBaselineView>& primed_baseline()
-      const {
-    return state_->primed_baseline;
-  }
 
  private:
   struct State {
     topology::Graph graph;
     geo::World world;
     std::vector<AsId> tier1, tier2, tier3;
-    std::optional<ShardPlanView> shard_plan;
-    std::optional<PrimedBaselineView> primed_baseline;
     /// Borrowed view into the mapped file; engaged by open() once graph
     /// and the mapped arrays are in place.
     std::optional<topology::CompiledTopology> compiled;

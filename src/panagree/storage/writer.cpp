@@ -2,7 +2,6 @@
 // snapshot into the section layout of format.hpp.
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -98,13 +97,6 @@ std::vector<std::byte> stage_entries(std::span<const TopoEntry> entries) {
 void write_snapshot(const std::string& path,
                     const topology::GeneratedTopology& topo,
                     const topology::CompiledTopology& compiled) {
-  write_snapshot(path, topo, compiled, nullptr);
-}
-
-void write_snapshot(const std::string& path,
-                    const topology::GeneratedTopology& topo,
-                    const topology::CompiledTopology& compiled,
-                    const ShardPlanData* plan) {
   const topology::Graph& graph = topo.graph;
   util::require(&compiled.graph() == &graph,
                 "write_snapshot: compiled snapshot does not belong to the "
@@ -255,58 +247,6 @@ void write_snapshot(const std::string& path,
   sections.add_array<AsId>(SectionKind::kTier1, topo.tier1);
   sections.add_array<AsId>(SectionKind::kTier2, topo.tier2);
   sections.add_array<AsId>(SectionKind::kTier3, topo.tier3);
-
-  // Shard plan + primed baseline (optional).
-  std::vector<std::uint32_t> row_ranges;
-  if (plan != nullptr) {
-    const std::size_t num_sources = plan->sources.size();
-    util::require(plan->num_shards > 0,
-                  "write_snapshot: shard plan with zero shards");
-    util::require(plan->shard_begin.size() == plan->num_shards + 1 &&
-                      plan->shard_begin.front() == 0 &&
-                      plan->shard_begin.back() == num_sources,
-                  "write_snapshot: shard_begin does not cover the sources");
-    util::require(plan->grc_counts.size() == num_sources &&
-                      plan->path_begin.size() == num_sources + 1 &&
-                      plan->path_begin.front() == 0 &&
-                      std::size_t{plan->path_begin.back()} * 3 ==
-                          plan->path_words.size(),
-                  "write_snapshot: baseline arrays are inconsistent");
-    for (const AsId source : plan->sources) {
-      util::require(source < n, "write_snapshot: shard source out of range");
-    }
-    // Per-shard CSR row ranges: the [first, last) span of kEntries rows the
-    // shard's cached sources touch, for placement advice at load time.
-    const std::span<const std::uint32_t> row_start =
-        compiled.row_start_array();
-    row_ranges.reserve(2 * plan->num_shards);
-    for (std::size_t shard = 0; shard < plan->num_shards; ++shard) {
-      std::uint32_t first = row_start.back();
-      std::uint32_t last = 0;
-      for (std::size_t i = plan->shard_begin[shard];
-           i < plan->shard_begin[shard + 1]; ++i) {
-        const AsId source = plan->sources[i];
-        first = std::min(first, row_start[source]);
-        last = std::max(last, row_start[source + 1]);
-      }
-      if (first > last) {  // empty shard
-        first = last = 0;
-      }
-      row_ranges.push_back(first);
-      row_ranges.push_back(last);
-    }
-    sections.add_array<AsId>(SectionKind::kShardSourceIds, plan->sources);
-    sections.add_array<std::uint32_t>(SectionKind::kShardSourceBegin,
-                                      plan->shard_begin);
-    sections.add_array<std::uint32_t>(SectionKind::kShardRowRanges,
-                                      row_ranges);
-    sections.add_array<std::uint32_t>(SectionKind::kBaselineGrcCounts,
-                                      plan->grc_counts);
-    sections.add_array<std::uint32_t>(SectionKind::kBaselinePathBegin,
-                                      plan->path_begin);
-    sections.add_array<std::uint32_t>(SectionKind::kBaselinePaths,
-                                      plan->path_words);
-  }
 
   // Assemble header + section table + payload.
   FileHeader header;

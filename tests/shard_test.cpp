@@ -2,16 +2,12 @@
 // (N-shard ShardRouter responses == the 1-shard stack, through the
 // library and through a pooled-reader Server at 1/2/8 worker threads,
 // rebase included), epoch-barrier atomicity under concurrent rebase (a
-// reader observes the old fleet or the new fleet, never a mix), the
-// primed-baseline snapshot round trip (reconstructed path sets ==
-// a fresh prime(), and prime_restored never touches the sweep.prime
-// counter), and the `rebase` wire kind.
+// reader observes the old fleet or the new fleet, never a mix), and the
+// `rebase` wire kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,14 +16,11 @@
 
 #include "panagree/diversity/report.hpp"
 #include "panagree/econ/business.hpp"
-#include "panagree/obs/export.hpp"
-#include "panagree/scenario/metrics.hpp"
 #include "panagree/scenario/sweep.hpp"
 #include "panagree/serve/client.hpp"
 #include "panagree/serve/server.hpp"
 #include "panagree/serve/shard_router.hpp"
 #include "panagree/serve/wire.hpp"
-#include "panagree/storage/snapshot.hpp"
 #include "panagree/topology/generator.hpp"
 
 namespace panagree::serve {
@@ -336,147 +329,6 @@ TEST(ShardRouter, ConcurrentRebaseNeverServesMixedEpochs) {
   std::string out;
   stack.router->handle_line(probe_line, out);
   EXPECT_EQ(out, expected_after);
-}
-
-// ------------------------------------------------ primed baseline
-
-const auto kEnumerate = [](const scenario::Overlay& overlay, AsId src) {
-  return scenario::enumerate_length3(overlay, src);
-};
-
-/// What panagree-compile --shards persists: the primed runner's path
-/// caches flattened into the shard-plan + baseline arrays.
-storage::ShardPlanData make_plan(
-    const ShardFixture& f, std::size_t shards,
-    const std::vector<scenario::SourcePathSet>& baseline) {
-  storage::ShardPlanData plan;
-  plan.num_shards = shards;
-  plan.sources = f.sources_;
-  const std::size_t n = plan.sources.size();
-  for (std::size_t s = 0; s <= shards; ++s) {
-    plan.shard_begin.push_back(static_cast<std::uint32_t>(s * n / shards));
-  }
-  plan.path_begin.push_back(0);
-  for (const scenario::SourcePathSet& set : baseline) {
-    plan.grc_counts.push_back(static_cast<std::uint32_t>(set.grc().size()));
-    plan.path_begin.push_back(
-        plan.path_begin.back() +
-        static_cast<std::uint32_t>(set.grc().size() + set.ma().size()));
-    for (const auto paths : {set.grc(), set.ma()}) {
-      for (const diversity::Length3Path& path : paths) {
-        plan.path_words.push_back(path.src);
-        plan.path_words.push_back(path.mid);
-        plan.path_words.push_back(path.dst);
-      }
-    }
-  }
-  return plan;
-}
-
-/// The serving-side reconstruction (tools/serve_common.hpp).
-std::vector<scenario::SourcePathSet> reconstruct(
-    const storage::PrimedBaselineView& baseline, std::size_t first,
-    std::size_t last) {
-  std::vector<scenario::SourcePathSet> out;
-  for (std::size_t i = first; i < last; ++i) {
-    scenario::SourcePathSet set;
-    const std::size_t grc = baseline.grc_counts[i];
-    for (std::size_t p = baseline.path_begin[i];
-         p < baseline.path_begin[i + 1]; ++p) {
-      const diversity::Length3Path path{baseline.path_words[3 * p],
-                                        baseline.path_words[3 * p + 1],
-                                        baseline.path_words[3 * p + 2]};
-      if (p - baseline.path_begin[i] < grc) {
-        set.add_grc(path);
-      } else {
-        set.add_ma(path);
-      }
-    }
-    out.push_back(std::move(set));
-  }
-  return out;
-}
-
-[[nodiscard]] std::uint64_t sweep_prime_count() {
-  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-  for (const obs::CounterSample& counter : snap.counters) {
-    if (counter.name == "sweep.prime") {
-      return counter.value;
-    }
-  }
-  return 0;
-}
-
-TEST(PrimedBaseline, SnapshotRoundTripEqualsFreshPrime) {
-  const ShardFixture& f = fixture();
-  scenario::SweepConfig config;
-  config.dirty_radius = scenario::kLength3DirtyRadius;
-  scenario::SweepRunner<scenario::SourcePathSet> runner(*f.compiled_,
-                                                        f.sources_, config);
-  runner.prime(kEnumerate);
-  const storage::ShardPlanData plan = make_plan(f, 3, runner.baseline());
-
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "shard_roundtrip.pansnap";
-  storage::write_snapshot(path.string(), f.topo_, *f.compiled_, &plan);
-  {
-    const storage::MappedSnapshot snap =
-        storage::MappedSnapshot::open(path.string());
-    ASSERT_TRUE(snap.shard_plan().has_value());
-    ASSERT_TRUE(snap.primed_baseline().has_value());
-    const storage::ShardPlanView& view = *snap.shard_plan();
-    EXPECT_EQ(view.num_shards, 3u);
-    ASSERT_TRUE(std::ranges::equal(view.sources, f.sources_));
-    ASSERT_TRUE(std::ranges::equal(view.shard_begin, plan.shard_begin));
-    EXPECT_EQ(view.row_ranges.size(), 6u);
-
-    const std::vector<scenario::SourcePathSet> restored = reconstruct(
-        *snap.primed_baseline(), 0, f.sources_.size());
-    ASSERT_EQ(restored.size(), runner.baseline().size());
-    for (std::size_t i = 0; i < restored.size(); ++i) {
-      EXPECT_EQ(restored[i], runner.baseline()[i]) << "source " << i;
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(PrimedBaseline, PrimeRestoredSkipsEnumerationAndServesSameBytes) {
-  const ShardFixture& f = fixture();
-  scenario::SweepConfig config;
-  config.dirty_radius = scenario::kLength3DirtyRadius;
-  scenario::SweepRunner<scenario::SourcePathSet> runner(*f.compiled_,
-                                                        f.sources_, config);
-  runner.prime(kEnumerate);
-
-  // The restored stack primes every shard from the runner's cache
-  // slices; the sweep.prime counter must not move (the acceptance
-  // criterion of the mmap-only cold start).
-  const std::size_t shards = 2;
-  const std::size_t n = f.sources_.size();
-  ShardedStack restored;
-  std::vector<QueryEngine*> pointers;
-  const std::uint64_t primes_before = sweep_prime_count();
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = s * n / shards;
-    const std::size_t end = (s + 1) * n / shards;
-    restored.engines.push_back(std::make_unique<QueryEngine>(
-        *f.compiled_, &f.topo_.world, &*f.economy_,
-        std::vector<AsId>(f.sources_.begin() + begin,
-                          f.sources_.begin() + end)));
-    restored.engines.back()->prime_restored(
-        std::vector<scenario::SourcePathSet>(
-            runner.baseline().begin() + begin,
-            runner.baseline().begin() + end));
-    pointers.push_back(restored.engines.back().get());
-  }
-  restored.router = std::make_unique<ShardRouter>(std::move(pointers));
-  restored.router->refresh_baseline();
-  EXPECT_EQ(sweep_prime_count(), primes_before);
-
-  ShardedStack fresh = make_stack(f, shards);
-  const std::vector<std::string> script = request_script(f);
-  EXPECT_EQ(run_script_direct(*restored.router, script),
-            run_script_direct(*fresh.router, script));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Property tests of the storage layer: a written .pansnap, mapped back,
 // must be indistinguishable from the in-process pipeline - same Graph and
 // World tables, byte-identical CSR arrays, identical path-enumeration
-// results at any thread count - and malformed files must be rejected, not
-// crashed on.
+// results at any thread count - files carrying retired section kinds must
+// keep opening, and malformed files must be rejected, not crashed on.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,23 @@ class TempFile {
  private:
   std::string path_;
 };
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The section table of a snapshot's raw bytes, read the way the reader
+/// does (header first, then section_count records at its offset).
+std::vector<SectionRecord> section_table(const std::string& bytes) {
+  FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<SectionRecord> table(header.section_count);
+  std::memcpy(table.data(), bytes.data() + header.section_table_offset,
+              table.size() * sizeof(SectionRecord));
+  return table;
+}
 
 GeneratedTopology make_fixture(std::size_t ases, std::uint64_t seed) {
   topology::GeneratorParams params;
@@ -128,14 +146,9 @@ TEST(SnapshotRoundTrip, WritesAreByteDeterministic) {
   TempFile b("deterministic_b.pansnap");
   write_snapshot(a.path(), topo, compiled);
   write_snapshot(b.path(), topo, compiled);
-  const auto read_all = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string bytes_a = read_all(a.path());
+  const std::string bytes_a = read_bytes(a.path());
   ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, read_all(b.path()));
+  EXPECT_EQ(bytes_a, read_bytes(b.path()));
 }
 
 TEST(SnapshotRoundTrip, SyntheticTopologySurvivesWriteAndMmap) {
@@ -180,6 +193,25 @@ TEST(SnapshotRoundTrip, CaidaFixtureSurvives) {
   expect_graphs_equal(snapshot.graph(), topo.graph);
   expect_worlds_equal(snapshot.world(), topo.world);
   expect_csr_identical(snapshot.topology(), compiled);
+
+  // The same fixture compiled with `--shards 2 --sources 14` by a writer
+  // that still emitted the shard-plan and primed-baseline sections (kinds
+  // 60-62 and 70-72, retired since). The reader skips kinds it does not
+  // read, so the file opens to the same topology.
+  const std::string legacy_path =
+      PANAGREE_TEST_DATA_DIR "/legacy-primed-v1.pansnap";
+  std::vector<std::uint32_t> kinds;
+  for (const SectionRecord& record : section_table(read_bytes(legacy_path))) {
+    kinds.push_back(record.kind);
+  }
+  for (const std::uint32_t retired : {60u, 61u, 62u, 70u, 71u, 72u}) {
+    EXPECT_NE(std::ranges::find(kinds, retired), kinds.end())
+        << "fixture lacks retired section " << retired;
+  }
+  const MappedSnapshot legacy = MappedSnapshot::open(legacy_path);
+  expect_graphs_equal(legacy.graph(), topo.graph);
+  expect_worlds_equal(legacy.world(), topo.world);
+  expect_csr_identical(legacy.topology(), compiled);
 }
 
 TEST(SnapshotRoundTrip, BehavioralLookupsMatchOwningCompile) {
@@ -230,27 +262,29 @@ TEST(SnapshotRoundTrip, PathEnumerationIdenticalAtAnyThreadCount) {
 // ------------------------------------------------------------- rejection
 
 /// Writes a valid snapshot, then hands the raw bytes to `corrupt` and
-/// writes them back - every mutation must be rejected with SnapshotError.
+/// writes them back - every mutation must be rejected with a SnapshotError
+/// whose message contains `message` (any message when empty).
 template <typename Corrupt>
-void expect_rejected(const Corrupt& corrupt, const char* what) {
+void expect_rejected(const Corrupt& corrupt, const char* what,
+                     const std::string& message = "") {
   const GeneratedTopology topo = make_fixture(60, 3);
   const CompiledTopology compiled(topo.graph);
   TempFile file("rejection.pansnap");
   write_snapshot(file.path(), topo, compiled);
 
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  std::string bytes = read_bytes(file.path());
   corrupt(bytes);
   {
     std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_THROW((void)MappedSnapshot::open(file.path()), SnapshotError)
-      << what;
+  try {
+    (void)MappedSnapshot::open(file.path());
+    ADD_FAILURE() << what << ": opened without an error";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << what << ": " << e.what();
+  }
 }
 
 TEST(SnapshotRejection, BadMagic) {
@@ -301,14 +335,7 @@ TEST(SnapshotRejection, OutOfRangeCsrEntry) {
   // section table, mirroring the reader.
   expect_rejected(
       [](std::string& bytes) {
-        FileHeader header;
-        std::memcpy(&header, bytes.data(), sizeof(header));
-        for (std::uint64_t i = 0; i < header.section_count; ++i) {
-          SectionRecord record;
-          std::memcpy(&record,
-                      bytes.data() + header.section_table_offset +
-                          i * sizeof(SectionRecord),
-                      sizeof(record));
+        for (const SectionRecord& record : section_table(bytes)) {
           if (record.kind ==
               static_cast<std::uint32_t>(SectionKind::kEntries)) {
             const std::uint32_t bogus = 0xFFFFFFFF;
@@ -320,6 +347,23 @@ TEST(SnapshotRejection, OutOfRangeCsrEntry) {
         FAIL() << "kEntries section not found";
       },
       "out-of-range CSR entry");
+}
+
+TEST(SnapshotRejection, SectionCountWrappingTheTableSize) {
+  // count * sizeof(SectionRecord) wraps to 8 bytes in 64 bits for this
+  // count, so a bound on the table's byte size alone would pass and the
+  // record loop would walk past the table. The count itself is bounded.
+  constexpr std::uint64_t kCount =
+      std::numeric_limits<std::uint64_t>::max() / sizeof(SectionRecord) + 1;
+  static_assert(kCount * sizeof(SectionRecord) == 8);
+  expect_rejected(
+      [](std::string& bytes) {
+        FileHeader header;
+        std::memcpy(&header, bytes.data(), sizeof(header));
+        header.section_count = kCount;
+        std::memcpy(bytes.data(), &header, sizeof(header));
+      },
+      "section count wrapping the table size", "section table out of bounds");
 }
 
 TEST(SnapshotRejection, MissingFileThrows) {

@@ -14,13 +14,9 @@
 // --shards N partitions the source sample across N QueryEngine shards
 // behind a serve::ShardRouter (responses stay byte-identical to
 // --shards 1); the router also serves the admin `rebase` wire kind.
-// When the snapshot carries a primed baseline for exactly this source
-// sample (panagree-compile --shards), priming adopts it straight off
-// the mapping instead of enumerating paths, and the readiness line
-// reports primed=snapshot (primed=computed otherwise). Either way
-// priming folds every source's contribution, and the readiness line
-// ends with the wall time of both phases (enumerate_ms=, 0 for a
-// snapshot baseline, and fold_ms=).
+// Priming enumerates every sampled source's paths and folds its
+// contribution; the readiness line ends with the wall time of both
+// phases (enumerate_ms=, fold_ms=).
 //
 // --port 0 binds an ephemeral port; the chosen port is in the
 // "listening" line. That line goes to *stdout* (everything else to
@@ -195,18 +191,17 @@ int main(int argc, char** argv) {
                                           context.net.compiled());
     }
     const auto prime_start = std::chrono::steady_clock::now();
-    const servecfg::ServeContext::PrimeReport primed = context.prime();
+    const serve::PrimeTiming timing = context.prime();
     const double prime_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() -
                                 prime_start)
                                 .count();
-    const std::string phase_ms = prime_phase_fields(primed.timing);
+    const std::string phase_ms = prime_phase_fields(timing);
     std::cerr << "[serve] primed " << context.sources.size()
               << " sources across " << shards << " shard"
               << (shards == 1 ? "" : "s") << " in " << prime_ms << " ms ("
-              << (primed.restored ? "snapshot baseline" : "fresh enumeration")
-              << ", " << context.net.graph().num_ases() << " ASes) "
-              << phase_ms << "\n";
+              << context.net.graph().num_ases() << " ASes) " << phase_ms
+              << "\n";
 
     serve::ServerConfig server_config;
     server_config.port = static_cast<std::uint16_t>(port);
@@ -234,7 +229,6 @@ int main(int argc, char** argv) {
               << " affinity=" << paths::affinity_summary()
               << " pinned=" << (pin_threads ? "on" : "off")
               << " shards=" << shards
-              << " primed=" << (primed.restored ? "snapshot" : "computed")
               << " numa=\"" << paths::TopologyPlacement::system().describe()
               << "\" simd=" << paths::role_filter_dispatch()
               << " build=" << obs::build_info().git_describe << " "

@@ -14,11 +14,8 @@
 // Cold start: prime() enumerates every shard's sampled sources, then
 // folds their per-source contributions in parallel over the engine
 // threads (500 sources on the 3000-AS fixture at 2 threads: ~0.1 s of
-// enumeration, ~0.2 s of fold). When the mmap'd snapshot carries
-// primed-baseline sections for exactly our source sample, prime()
-// adopts them instead of enumerating; the fold runs either way.
-// Afterwards the router baseline is refreshed, so the context is
-// serve-ready.
+// enumeration, ~0.2 s of fold). Afterwards the router baseline is
+// refreshed, so the context is serve-ready.
 #pragma once
 
 #include <algorithm>
@@ -57,28 +54,16 @@ struct ServeContext {
   ServeContext(const ServeContext&) = delete;
   ServeContext& operator=(const ServeContext&) = delete;
 
-  /// What prime() did: whether the baseline was adopted from the
-  /// snapshot's primed-baseline sections (no path enumeration, the
-  /// sweep.prime counter stays untouched) or computed fresh, and the wall
-  /// time of both phases summed over the shards (enumerate_ns is 0 for a
-  /// restored baseline).
-  struct PrimeReport {
-    bool restored = false;
+  /// Primes every shard and publishes the router baseline; returns the
+  /// wall time of both prime phases summed over the shards. Serve
+  /// through `router` afterwards.
+  serve::PrimeTiming prime() {
     serve::PrimeTiming timing;
-  };
-
-  /// Primes every shard and publishes the router baseline. Serve through
-  /// `router` afterwards.
-  PrimeReport prime() {
-    PrimeReport report;
-    report.restored = try_restore_from_snapshot(report.timing);
-    if (!report.restored) {
-      for (const std::unique_ptr<serve::QueryEngine>& engine : engines) {
-        report.timing += engine->prime();
-      }
+    for (const std::unique_ptr<serve::QueryEngine>& engine : engines) {
+      timing += engine->prime();
     }
     router.refresh_baseline();
-    return report;
+    return timing;
   }
 
   benchcfg::Internet net;
@@ -134,54 +119,6 @@ struct ServeContext {
       pointers.push_back(engine.get());
     }
     return pointers;
-  }
-
-  /// Adopts the snapshot's primed baseline if it matches our source
-  /// sample exactly. The baseline caches are per-source path sets, so
-  /// any drift in the sample (different --sources, a different seed, a
-  /// recompiled topology) makes them useless - fall back to enumerating.
-  /// Adds the shards' fold times to `timing`.
-  bool try_restore_from_snapshot(serve::PrimeTiming& timing) {
-    const storage::MappedSnapshot* snap = net.snapshot();
-    if (snap == nullptr || !snap->primed_baseline().has_value()) {
-      return false;
-    }
-    const storage::ShardPlanView& plan = *snap->shard_plan();
-    if (plan.sources.size() != sources.size() ||
-        !std::equal(plan.sources.begin(), plan.sources.end(),
-                    sources.begin())) {
-      return false;
-    }
-    const storage::PrimedBaselineView& baseline = *snap->primed_baseline();
-    // Rebuild each source's GRC/MA path sets from the flat (src, mid,
-    // dst) triples - GRC paths first, then MA, per source - and hand
-    // them to the owning shard.
-    std::size_t global = 0;
-    for (const std::unique_ptr<serve::QueryEngine>& engine : engines) {
-      std::vector<scenario::SourcePathSet> results;
-      results.reserve(engine->sources().size());
-      for (std::size_t i = 0; i < engine->sources().size();
-           ++i, ++global) {
-        scenario::SourcePathSet set;
-        const std::size_t grc = baseline.grc_counts[global];
-        const std::size_t first = baseline.path_begin[global];
-        const std::size_t last = baseline.path_begin[global + 1];
-        for (std::size_t p = first; p < last; ++p) {
-          const diversity::Length3Path path{
-              topology::AsId{baseline.path_words[3 * p]},
-              topology::AsId{baseline.path_words[3 * p + 1]},
-              topology::AsId{baseline.path_words[3 * p + 2]}};
-          if (p - first < grc) {
-            set.add_grc(path);
-          } else {
-            set.add_ma(path);
-          }
-        }
-        results.push_back(std::move(set));
-      }
-      timing += engine->prime_restored(std::move(results));
-    }
-    return true;
   }
 };
 
