@@ -5,7 +5,7 @@
 // Environment overrides:
 //   PANAGREE_ASES=<n>        topology size (synthetic only)
 //   PANAGREE_SOURCES=<n>     analyzed-source sample size
-//   PANAGREE_THREADS=<n>     worker threads (0 = hardware concurrency)
+//   PANAGREE_THREADS=<n>     worker threads (0 = one per allowed cpu)
 //   PANAGREE_CAIDA=<path>    run on a real CAIDA as-rel2 relationship file
 //                            instead of the generator; the graph is embedded
 //                            in a synthetic world (tiers, PoPs, facilities)
@@ -64,7 +64,7 @@ inline std::size_t num_sources() {
   return env_size("PANAGREE_SOURCES", 500);
 }
 
-/// Worker threads for per-source fan-outs (0 = one per hardware core);
+/// Worker threads for per-source fan-outs (0 = one per allowed cpu);
 /// override with PANAGREE_THREADS. Results are thread-count independent.
 inline std::size_t num_threads() { return env_size("PANAGREE_THREADS", 0); }
 

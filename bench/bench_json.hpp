@@ -2,8 +2,11 @@
 // free-form numeric) measurements and writes one BENCH_<bench>.json file,
 // so the perf trajectory of the repo is diffable across PRs without
 // scraping stdout tables. No third-party JSON dependency - the schema is
-// flat: {"bench", "topology": {"ases", "links"}, "results": [{"name",
-// "wall_ms", ...extras}]}.
+// flat: {"bench", "host": {"nproc", "build_type"}, "topology": {"ases",
+// "links"}, "results": [{"name", "wall_ms", ...extras}]}. "host" records
+// the cpus the bench could run on (paths::resolve_thread_count(0)) and
+// panagree's own CMake build type, so a row can be read against the
+// machine and build that produced it.
 //
 // Output lands in $PANAGREE_BENCH_JSON_DIR (default: the working
 // directory). perf_micro uses google-benchmark's own JSON reporter
@@ -18,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "panagree/obs/build_info.hpp"
+#include "panagree/paths/parallel.hpp"
 #include "panagree/topology/graph.hpp"
 
 namespace panagree::benchjson {
@@ -52,6 +57,9 @@ class ResultWriter {
       return;
     }
     out << "{\n  \"bench\": \"" << escaped(bench_name_) << "\",\n"
+        << "  \"host\": {\"nproc\": " << paths::resolve_thread_count(0)
+        << ", \"build_type\": \""
+        << escaped(std::string(obs::build_info().build_type)) << "\"},\n"
         << "  \"topology\": {\"ases\": " << num_ases_
         << ", \"links\": " << num_links_ << "},\n"
         << "  \"results\": [\n";

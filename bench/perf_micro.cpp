@@ -29,6 +29,7 @@
 #include "panagree/dynamics/convergence.hpp"
 #include "exhaustive_rank.hpp"
 #include "panagree/econ/business.hpp"
+#include "panagree/obs/build_info.hpp"
 #include "panagree/obs/metrics.hpp"
 #include "panagree/obs/slowlog.hpp"
 #include "panagree/scenario/optimizer.hpp"
@@ -1169,6 +1170,13 @@ int main(int argc, char** argv) {
       std::any_of(args.begin(), args.end(), [](const char* arg) {
         return std::strncmp(arg, "--benchmark_list_tests", 22) == 0;
       });
+  // google-benchmark's own "library_build_type" describes the benchmark
+  // library, not panagree: record panagree's build and the cpus this
+  // process may run on beside it.
+  benchmark::AddCustomContext("host_nproc",
+                              std::to_string(paths::resolve_thread_count(0)));
+  benchmark::AddCustomContext(
+      "host_build_type", std::string(obs::build_info().build_type));
   if (!list_only) {
     benchmark::AddCustomContext(
         "topology_ases", std::to_string(cached_topology().graph.num_ases()));

@@ -47,7 +47,7 @@ struct GaoRexfordOptions {
   /// Prefer shorter paths within the same relationship class.
   bool shorter_is_better = true;
   /// Worker threads for the per-source enumeration fan-out; 0 = one per
-  /// hardware core. Results are identical for every value.
+  /// allowed cpu. Results are identical for every value.
   std::size_t threads = 0;
 };
 

@@ -15,12 +15,9 @@ struct DiversityParams {
   std::size_t sample_sources = 500;
   std::uint64_t seed = 42;
   std::vector<std::size_t> top_ns = {1, 5, 50};
-  /// Worker threads for the per-source fan-out; 0 = one per hardware core.
+  /// Worker threads for the per-source fan-out; 0 = one per allowed cpu.
   /// Results are identical for every value (deterministic merge order).
   std::size_t threads = 0;
-  /// Pin fan-out workers to cpus (paths::ExecPolicy). Results are
-  /// identical either way.
-  bool pin_threads = false;
 };
 
 /// Per-source row: absolute numbers of length-3 paths (or destinations)

@@ -1,13 +1,37 @@
 #include "panagree/paths/parallel.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace panagree::paths {
+
+namespace {
+
+std::size_t online_cpus() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+}  // namespace
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested != 0) {
     return requested;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return online_cpus();
+}
+
+std::string affinity_summary() {
+  return "cpus=" + std::to_string(resolve_thread_count(0)) + "/" +
+         std::to_string(online_cpus());
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> partition_by_cost(
@@ -73,35 +97,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> partition_by_cost(
   }
   ranges.emplace_back(begin, static_cast<std::uint32_t>(count));
   return ranges;
-}
-
-bool bind_topology_to_nodes(const TopologyPlacement& placement,
-                            const topology::CompiledTopology& topo) {
-  const std::size_t nodes = placement.num_nodes();
-  const std::size_t n = topo.num_ases();
-  if (nodes <= 1 || n == 0) {
-    return false;
-  }
-  const auto row_start = topo.row_start_array();
-  const auto entries = topo.entry_array();
-  const auto roles = topo.role_lane_array();
-  bool any = false;
-  for (std::size_t k = 0; k < nodes; ++k) {
-    const std::size_t lo = row_start[n * k / nodes];
-    const std::size_t hi = row_start[n * (k + 1) / nodes];
-    if (hi <= lo) {
-      continue;
-    }
-    if (placement.bind_memory(
-            entries.data() + lo,
-            (hi - lo) * sizeof(topology::CompiledTopology::Entry), k)) {
-      any = true;
-    }
-    if (placement.bind_memory(roles.data() + lo, hi - lo, k)) {
-      any = true;
-    }
-  }
-  return any;
 }
 
 std::vector<std::uint64_t> two_hop_cost_estimates(

@@ -23,10 +23,10 @@
 // (with its cursor/failed false sharing fixed - both now sit on their own
 // cache lines).
 //
-// NUMA placement rides on the same seeding: ExecPolicy pins worker
-// threads to cpus (TopologyPlacement), dealt to nodes in the same
-// contiguous blocks as the seed ranges, so a node's workers walk a
-// node-local shard of the source space.
+// Where workers run is left to the kernel: they inherit the calling
+// thread's cpu mask, so a `taskset` or cgroup placement of the process
+// holds for every fan-out, and "one worker per cpu" (threads = 0) counts
+// the cpus in that mask.
 #pragma once
 
 #include <algorithm>
@@ -38,12 +38,12 @@
 #include <limits>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "panagree/obs/metrics.hpp"
-#include "panagree/paths/placement.hpp"
 #include "panagree/paths/steal.hpp"
 #include "panagree/topology/compiled.hpp"
 #include "panagree/topology/graph.hpp"
@@ -111,25 +111,20 @@ struct WorkerTally {
 
 }  // namespace detail
 
-/// Resolves a requested worker count: 0 means "use the hardware", anything
-/// else is taken literally. Always >= 1.
+/// Resolves a requested worker count: 0 means one per cpu the calling
+/// thread may run on (its sched_getaffinity mask; the online cpu count
+/// where that call fails), anything else is taken literally. Always >= 1.
 [[nodiscard]] std::size_t resolve_thread_count(std::size_t requested);
+
+/// "cpus=K/N": K = resolve_thread_count(0), the cpus the calling thread
+/// may run on, of N online - what panagree-serve reports in its
+/// readiness line.
+[[nodiscard]] std::string affinity_summary();
 
 /// Below this many sources the driver runs serially regardless of the
 /// requested worker count: thread spawn/join overhead dwarfs tiny
 /// workloads, and results are identical either way.
 inline constexpr std::size_t kMinParallelSources = 32;
-
-/// How workers are placed on the machine. Results never depend on it.
-struct ExecPolicy {
-  /// Pin each worker thread to a cpu (node-blocked when the placement has
-  /// several NUMA nodes). Defaults off: pinning helps dedicated sweep /
-  /// serve processes and hurts oversubscribed shared hosts.
-  bool pin_threads = false;
-  /// Machine model used for pinning; nullptr = the detected system
-  /// placement (TopologyPlacement::system()).
-  const TopologyPlacement* placement = nullptr;
-};
 
 /// Tuning knobs of map_indices. The defaults reproduce the plain
 /// map_indices(count, threads, fn) behavior.
@@ -142,7 +137,6 @@ struct MapOptions {
   /// steer the seeding - stealing corrects any misestimate - so cheap
   /// proxies (degrees) are the right fidelity.
   std::span<const std::uint64_t> costs = {};
-  ExecPolicy exec;
 };
 
 /// Degree-aware cost estimates for bounded-depth per-source enumerations:
@@ -152,16 +146,6 @@ struct MapOptions {
 [[nodiscard]] std::vector<std::uint64_t> two_hop_cost_estimates(
     const topology::CompiledTopology& topo,
     std::span<const topology::AsId> sources);
-
-/// Binds the pages of `topo`'s CSR entry array and role lane to the
-/// placement's NUMA nodes in contiguous per-node AS shards - the same
-/// contiguous blocks node_of_worker deals workers into, so a node's
-/// workers walk node-local rows. Best-effort and a no-op (returns false)
-/// on single-node placements; already-touched private pages stay where
-/// first-touch put them (bind right after loading a snapshot for the
-/// bind to matter). Results are byte-identical either way.
-bool bind_topology_to_nodes(const TopologyPlacement& placement,
-                            const topology::CompiledTopology& topo);
 
 /// Runs `fn(i)` for every index in [0, count) and returns the results in
 /// index order - the generic core of the per-source driver, also the
@@ -215,16 +199,7 @@ template <typename Fn>
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  const TopologyPlacement* placement =
-      options.exec.placement != nullptr ? options.exec.placement
-                                        : &TopologyPlacement::system();
-  const bool pin = options.exec.pin_threads;
-
   const auto worker = [&](std::size_t self) {
-    if (pin) {
-      // Best-effort: a refused bind runs unpinned, results unchanged.
-      (void)placement->bind_worker(self, workers);
-    }
     detail::WorkerTally tally;  // flushes to the obs registry at exit
     bool range_is_stolen = false;
     detail::StealRange& own = ranges[self];

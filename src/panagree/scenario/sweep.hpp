@@ -99,7 +99,7 @@ struct SweepMetrics {
 }  // namespace detail
 
 struct SweepConfig {
-  /// Worker threads for per-source fan-outs (0 = hardware concurrency).
+  /// Worker threads for per-source fan-outs (0 = one per allowed cpu).
   std::size_t threads = 0;
   /// Invalidation radius in undirected hops around changed-link endpoints.
   /// For a max_len-AS enumeration, max_len - 2 covers every on-path link
@@ -110,9 +110,6 @@ struct SweepConfig {
   /// with proof) for the canonical sweep - on small-world AS graphs the
   /// radius-2 ball of a hub covers most sources and forfeits the caching.
   std::size_t dirty_radius = 2;
-  /// Worker placement of the fan-outs (thread pinning / NUMA sharding).
-  /// Results never depend on it.
-  paths::ExecPolicy exec;
 };
 
 /// Per-scenario accounting of the cache's effectiveness.
@@ -384,19 +381,18 @@ class SweepRunner {
     return dirty_sources_.size();
   }
 
-  /// Driver options of a fan-out over `sources`: the configured placement
-  /// plus degree-aware cost seeding, so one hub source among hundreds of
-  /// stubs seeds as its own worker range instead of serializing the tail
-  /// (the estimate is exact for the length-3 enumerations and a sound
-  /// proxy otherwise; stealing corrects any residue). The estimates are
-  /// computed against the base snapshot - deltas move single links, which
-  /// cannot change the cost *ranking* enough to matter for seeding.
+  /// Driver options of a fan-out over `sources`: degree-aware cost
+  /// seeding, so one hub source among hundreds of stubs seeds as its own
+  /// worker range instead of serializing the tail (the estimate is exact
+  /// for the length-3 enumerations and a sound proxy otherwise; stealing
+  /// corrects any residue). The estimates are computed against the base
+  /// snapshot - deltas move single links, which cannot change the cost
+  /// *ranking* enough to matter for seeding.
   [[nodiscard]] paths::MapOptions map_options(
       const std::vector<AsId>& sources) {
     cost_scratch_ = paths::two_hop_cost_estimates(*base_, sources);
     paths::MapOptions options;
     options.costs = cost_scratch_;
-    options.exec = config_.exec;
     return options;
   }
 

@@ -217,18 +217,14 @@ struct QueryEngine::State {
     const std::uint64_t start = steady_ns();
     const std::vector<scenario::SourcePathSet>& cache = runner.baseline();
     ScratchPool pool;
-    paths::MapOptions options;
-    options.exec.pin_threads = config.pin_threads;
     contribs = paths::map_indices(
-        cache.size(), config.threads,
-        [&](std::size_t i) {
+        cache.size(), config.threads, [&](std::size_t i) {
           auto scratch = pool.acquire();
           const scenario::SourceContribution contribution =
               aggregator.contribution(overlay, cache[i], *scratch);
           pool.release(std::move(scratch));
           return contribution;
-        },
-        options);
+        });
     total = scenario::SourceContribution{};
     for (const scenario::SourceContribution& contribution : contribs) {
       total += contribution;
@@ -269,7 +265,6 @@ PrimeTiming QueryEngine::prime() {
   scenario::SweepConfig sweep;
   sweep.threads = config_.threads;
   sweep.dirty_radius = scenario::kLength3DirtyRadius;
-  sweep.exec.pin_threads = config_.pin_threads;
   auto state = std::make_shared<State>(*base_, sources_, sweep);
   PrimeTiming timing;
   const std::uint64_t start = steady_ns();

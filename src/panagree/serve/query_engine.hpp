@@ -156,16 +156,13 @@ struct RequestMetricsRef {
 
 struct EngineConfig {
   /// Worker threads of the prime()/rebase() per-source fan-outs - path
-  /// enumeration and the contribution refold (0 = hardware
-  /// concurrency). Request handling itself runs on the caller's thread.
+  /// enumeration and the contribution refold (0 = one per allowed cpu).
+  /// Request handling itself runs on the caller's thread.
   std::size_t threads = 0;
   /// Bound on memoized what-if evaluations per epoch (the epoch batch):
   /// concurrent identical requests share one enumeration up to this many
   /// distinct deltas; past the cap, requests compute unshared.
   std::size_t max_batch = 256;
-  /// Pin the prime()/rebase() fan-out workers to cpus (NUMA-blocked; see
-  /// paths::ExecPolicy). Results are identical either way.
-  bool pin_threads = false;
   /// Scoring weights of whatif utilities.
   scenario::UtilityWeights weights;
 };

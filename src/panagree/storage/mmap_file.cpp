@@ -42,8 +42,7 @@ MmapFile::~MmapFile() {
   }
 }
 
-bool MmapFile::advise(std::size_t offset, std::size_t length,
-                      Advice advice) const {
+bool MmapFile::prefetch(std::size_t offset, std::size_t length) const {
   if (data_ == nullptr || length == 0 || offset >= size_) {
     return false;
   }
@@ -51,21 +50,8 @@ bool MmapFile::advise(std::size_t offset, std::size_t length,
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   const std::size_t start = offset & ~(page - 1);
   const std::size_t end = offset + length;
-  int request = 0;
-  switch (advice) {
-    case Advice::kWillNeed:
-      request = MADV_WILLNEED;
-      break;
-    case Advice::kHugePage:
-#ifdef MADV_HUGEPAGE
-      request = MADV_HUGEPAGE;
-      break;
-#else
-      return false;
-#endif
-  }
   return ::madvise(const_cast<std::byte*>(data_) + start, end - start,
-                   request) == 0;
+                   MADV_WILLNEED) == 0;
 }
 
 MmapFile MmapFile::open(const std::string& path) {

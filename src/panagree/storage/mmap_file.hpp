@@ -20,14 +20,11 @@ class MmapFile {
   /// Maps `path` read-only; throws SnapshotError on any I/O failure.
   [[nodiscard]] static MmapFile open(const std::string& path);
 
-  /// Access-pattern advice for a byte range of the mapping (offsets are
-  /// rounded out to page boundaries internally). kWillNeed asks the
-  /// kernel to prefetch; kHugePage requests transparent huge pages for
-  /// the range (kernels without file-backed THP refuse it). Returns
-  /// whether the kernel accepted the advice - callers report, they do
-  /// not depend on it.
-  enum class Advice { kWillNeed, kHugePage };
-  bool advise(std::size_t offset, std::size_t length, Advice advice) const;
+  /// Asks the kernel to prefetch a byte range of the mapping
+  /// (MADV_WILLNEED; offsets are rounded out to page boundaries
+  /// internally). Returns whether the kernel accepted the advice -
+  /// callers report, they do not depend on it.
+  bool prefetch(std::size_t offset, std::size_t length) const;
 
   [[nodiscard]] const std::byte* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -1,6 +1,5 @@
 // .pansnap reader: validates the mapped file, materializes Graph/World,
 // and borrows the CSR arrays zero-copy out of the mapping.
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
@@ -145,7 +144,7 @@ void check_begins(std::span<const std::uint32_t> begins, const char* what) {
 }
 
 /// WILLNEED prefetch on the CSR sections (the first arrays any analysis
-/// walks) + whole-mapping THP behind PANAGREE_MMAP_THP=1.
+/// walks).
 MmapAdviceReport apply_advice(const MmapFile& file,
                               const SectionIndex& sections) {
   MmapAdviceReport report;
@@ -154,16 +153,9 @@ MmapAdviceReport apply_advice(const MmapFile& file,
        {SectionKind::kRowStart, SectionKind::kProvidersEnd,
         SectionKind::kPeersEnd, SectionKind::kEntries}) {
     const auto [offset, bytes] = sections.payload_range(kind);
-    if (bytes > 0 &&
-        !file.advise(offset, bytes, MmapFile::Advice::kWillNeed)) {
+    if (bytes > 0 && !file.prefetch(offset, bytes)) {
       report.willneed_applied = false;
     }
-  }
-  const char* thp = std::getenv("PANAGREE_MMAP_THP");
-  if (thp != nullptr && std::strcmp(thp, "1") == 0) {
-    report.hugepage_requested = true;
-    report.hugepage_applied =
-        file.advise(0, file.size(), MmapFile::Advice::kHugePage);
   }
   return report;
 }
@@ -171,15 +163,8 @@ MmapAdviceReport apply_advice(const MmapFile& file,
 }  // namespace
 
 std::string MmapAdviceReport::describe() const {
-  std::string out = "willneed(csr)=";
-  out += willneed_applied ? "applied" : "refused";
-  out += " thp=";
-  if (!hugepage_requested) {
-    out += "off";
-  } else {
-    out += hugepage_applied ? "applied" : "refused";
-  }
-  return out;
+  return std::string("willneed(csr)=") +
+         (willneed_applied ? "applied" : "refused");
 }
 
 MappedSnapshot MappedSnapshot::open(const std::string& path) {
@@ -362,7 +347,6 @@ MappedSnapshot MappedSnapshot::open(const std::string& path) {
         .set(static_cast<std::int64_t>(file.size()));
     registry.gauge("storage.willneed_applied")
         .set(advice.willneed_applied ? 1 : 0);
-    registry.gauge("storage.thp_applied").set(advice.hugepage_applied ? 1 : 0);
   }
   return MappedSnapshot(std::move(file), std::move(state), advice);
 }

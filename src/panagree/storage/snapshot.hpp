@@ -46,18 +46,13 @@ void write_snapshot(const std::string& path,
                     const topology::CompiledTopology& compiled);
 
 /// What open() asked the kernel about the mapping's access pattern, and
-/// what the kernel accepted. WILLNEED prefetch covers the CSR sections
-/// (the arrays every analysis walks immediately); transparent huge pages
-/// are requested for the whole mapping only behind PANAGREE_MMAP_THP=1
-/// (file-backed THP support is kernel-dependent, so the request may be
-/// refused - the report says so instead of guessing).
+/// whether the kernel accepted it: a WILLNEED prefetch of the CSR
+/// sections (the arrays every analysis walks immediately).
 struct MmapAdviceReport {
   bool willneed_applied = false;
-  bool hugepage_requested = false;
-  bool hugepage_applied = false;
 
-  /// One-line human summary, e.g. "willneed(csr)=applied thp=off";
-  /// printed by panagree-compile's verify output.
+  /// One-line human summary, e.g. "willneed(csr)=applied"; printed by
+  /// panagree-compile's verify output.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -3,10 +3,11 @@
 // cost-balanced seeding partitions exactly, and - the driver's contract -
 // enumeration output is byte-identical at 1, 2, and 8 threads even on
 // adversarially skewed workloads (one mega-degree source among thousands
-// of leaves). Placement (NUMA model, pinning) is smoke-tested as
-// best-effort: it may or may not take effect, it must never change
-// results.
+// of leaves). Placement is the kernel's: threads = 0 counts the caller's
+// allowed cpus, and workers inherit the caller's cpu mask.
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -20,7 +21,6 @@
 
 #include "panagree/paths/enumerator.hpp"
 #include "panagree/paths/parallel.hpp"
-#include "panagree/paths/placement.hpp"
 #include "panagree/paths/steal.hpp"
 #include "panagree/topology/compiled.hpp"
 #include "panagree/topology/generator.hpp"
@@ -227,16 +227,6 @@ TEST(MapIndices, PropagatesFirstExceptionAfterDraining) {
                std::runtime_error);
 }
 
-TEST(MapIndices, PinnedExecutionIsByteIdentical) {
-  const TopologyPlacement placement = TopologyPlacement::single_node(2);
-  MapOptions options;
-  options.exec.pin_threads = true;
-  options.exec.placement = &placement;
-  const auto pinned = map_indices(500, 4, skewed_work, options);
-  const auto unpinned = map_indices(500, 4, skewed_work);
-  EXPECT_EQ(pinned, unpinned);
-}
-
 // ----------------------------------------- skewed end-to-end enumeration
 
 /// The adversarial shape from the issue: one mega-degree source among
@@ -318,68 +308,70 @@ TEST(MapSources, SkewedEnumerationByteIdenticalAcrossThreads) {
   }
 }
 
-// ------------------------------------------------------------- placement
+// ----------------------------------------------------------- allowed cpus
 
-TEST(Placement, ParseCpuListHandlesKernelShapes) {
-  EXPECT_EQ(parse_cpu_list("0-3"), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(parse_cpu_list("0-2,8,10-11"),
-            (std::vector<int>{0, 1, 2, 8, 10, 11}));
-  EXPECT_EQ(parse_cpu_list("5"), (std::vector<int>{5}));
-  EXPECT_TRUE(parse_cpu_list("").empty());
-  EXPECT_TRUE(parse_cpu_list("garbage").empty());
-  EXPECT_EQ(parse_cpu_list("1,bad"), (std::vector<int>{1}));
-  EXPECT_EQ(parse_cpu_list("3,1,2-3"), (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Placement, SingleNodeModel) {
-  const TopologyPlacement placement = TopologyPlacement::single_node(4);
-  EXPECT_EQ(placement.num_nodes(), 1U);
-  EXPECT_EQ(placement.num_cpus(), 4U);
-  for (std::size_t w = 0; w < 8; ++w) {
-    EXPECT_EQ(placement.node_of_worker(w, 8), 0U);
+/// Narrows the calling thread to one cpu for the test's lifetime and
+/// restores the previous mask on exit.
+class NarrowedAffinity {
+ public:
+  NarrowedAffinity() {
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      return;
+    }
+    for (int cpu = 0; cpu < CPU_SETSIZE && cpu_ < 0; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        cpu_ = cpu;
+      }
+    }
+    if (cpu_ < 0) {
+      return;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu_, &one);
+    narrowed_ = sched_setaffinity(0, sizeof(one), &one) == 0;
   }
-  EXPECT_FALSE(placement.describe().empty());
-}
-
-TEST(Placement, DetectedSystemIsSane) {
-  const TopologyPlacement& system = TopologyPlacement::system();
-  EXPECT_GE(system.num_nodes(), 1U);
-  EXPECT_GE(system.num_cpus(), 1U);
-  // Workers are dealt to nodes in contiguous non-decreasing blocks,
-  // mirroring the driver's contiguous seed ranges.
-  std::size_t prev = 0;
-  for (std::size_t w = 0; w < 16; ++w) {
-    const std::size_t node = system.node_of_worker(w, 16);
-    EXPECT_LT(node, system.num_nodes());
-    EXPECT_GE(node, prev);
-    prev = node;
+  ~NarrowedAffinity() {
+    if (narrowed_) {
+      (void)sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
   }
-}
+  NarrowedAffinity(const NarrowedAffinity&) = delete;
+  NarrowedAffinity& operator=(const NarrowedAffinity&) = delete;
 
-TEST(Placement, BindingIsBestEffortAndNeverThrows) {
-  const TopologyPlacement& system = TopologyPlacement::system();
-  // May succeed or fail depending on the host; must not crash either way.
-  (void)system.bind_worker(0, 2);
-  (void)system.bind_current_thread(0);
-  EXPECT_FALSE(system.bind_current_thread(system.num_nodes()));  // range
-  int dummy = 0;
-  (void)system.bind_memory(&dummy, sizeof(dummy), 0);
-  EXPECT_FALSE(system.bind_memory(nullptr, 0, 0));
-  const std::string summary = affinity_summary();
-  EXPECT_EQ(summary.rfind("cpus=", 0), 0U) << summary;
-}
+  [[nodiscard]] bool narrowed() const { return narrowed_; }
+  [[nodiscard]] int cpu() const { return cpu_; }
 
-TEST(Placement, BindTopologyIsNoOpOnSingleNode) {
-  const auto generated = topology::generate_internet([] {
-    topology::GeneratorParams params;
-    params.num_ases = 60;
-    params.tier1_count = 3;
-    params.seed = 5;
-    return params;
-  }());
-  const CompiledTopology compiled(generated.graph);
-  const TopologyPlacement single = TopologyPlacement::single_node(4);
-  EXPECT_FALSE(bind_topology_to_nodes(single, compiled));
+ private:
+  cpu_set_t saved_{};
+  int cpu_ = -1;
+  bool narrowed_ = false;
+};
+
+TEST(ResolveThreadCount, ZeroCountsTheCallersAllowedCpus) {
+  const NarrowedAffinity narrowed;
+  ASSERT_TRUE(narrowed.narrowed()) << "sched_setaffinity refused";
+  EXPECT_EQ(resolve_thread_count(0), 1U);
+  EXPECT_EQ(affinity_summary().rfind("cpus=1/", 0), 0U)
+      << affinity_summary();
+
+  // Each worker reports the mask it runs under: exactly the caller's cpu.
+  MapOptions options;
+  options.min_parallel = 2;
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto masks = map_indices(
+      2, 2,
+      [&](std::size_t) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        const bool same_mask = sched_getaffinity(0, sizeof(set), &set) == 0 &&
+                               CPU_COUNT(&set) == 1 &&
+                               CPU_ISSET(narrowed.cpu(), &set);
+        return static_cast<int>(same_mask &&
+                                std::this_thread::get_id() != caller);
+      },
+      options);
+  EXPECT_EQ(masks, (std::vector<int>{1, 1}));
 }
 
 // ---------------------------------------------------- two_hop estimates

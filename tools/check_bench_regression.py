@@ -32,7 +32,13 @@ TIME_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
 def load_results(path):
-    """Returns {benchmark name: wall ms} for either schema."""
+    """Returns {benchmark name: wall ms} for either schema.
+
+    Only the result rows are compared. The descriptive context beside
+    them (bench_json.hpp's "host", google-benchmark's "context" with its
+    host_nproc/host_build_type entries) is ignored, so baselines written
+    before those fields existed still compare.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     results = {}

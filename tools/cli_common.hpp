@@ -12,8 +12,9 @@
 //     tool already uses for usage errors, and the same message shape
 //     bench_common uses for malformed PANAGREE_* environment overrides;
 //   * --threads means the same thing everywhere: worker threads for
-//     per-source fan-outs, 0 = one per hardware core, overriding the
-//     PANAGREE_THREADS environment default.
+//     per-source fan-outs, 0 = one per cpu the process may run on
+//     (paths::resolve_thread_count), overriding the PANAGREE_THREADS
+//     environment default.
 #pragma once
 
 #include <charconv>
@@ -59,7 +60,8 @@ inline std::size_t parse_size(const char* tool, std::string_view flag,
 }
 
 /// The shared --threads option (call with argv[i] == "--threads"):
-/// consumes the value and returns the worker count, 0 = one per core.
+/// consumes the value and returns the worker count, 0 = one per allowed
+/// cpu.
 inline std::size_t parse_threads(const char* tool, int argc, char** argv,
                                  int& i) {
   return parse_size(tool, "--threads",
@@ -91,17 +93,6 @@ inline std::size_t env_slow_ms(const char* tool, std::size_t fallback) {
     return fallback;
   }
   return parse_size(tool, "PANAGREE_SLOW_MS", env);
-}
-
-/// Default of the shared --pin-threads flag: the PANAGREE_PIN_THREADS
-/// environment toggle (unset, empty, or "0" = off; anything else = on).
-/// --pin-threads pins fan-out workers to cpus, NUMA-blocked on
-/// multi-node hosts (paths::ExecPolicy); results are identical either
-/// way - pinning is pure placement.
-inline bool env_pin_threads() {
-  const char* env = std::getenv("PANAGREE_PIN_THREADS");
-  return env != nullptr && env[0] != '\0' &&
-         std::string_view(env) != std::string_view("0");
 }
 
 }  // namespace panagree::cli

@@ -35,7 +35,7 @@ void usage() {
 
 /// --verify: open an existing snapshot, validate it, and report what the
 /// reader did - including the effective mmap access-pattern advice
-/// (WILLNEED on the CSR sections; THP when PANAGREE_MMAP_THP=1).
+/// (WILLNEED on the CSR sections).
 int verify_snapshot(const std::string& path) {
   const auto snapshot = storage::MappedSnapshot::open(path);
   std::cout << "[verify] " << path << ": " << snapshot.graph().num_ases()

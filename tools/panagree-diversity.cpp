@@ -3,13 +3,13 @@
 // generated synthetic topology.
 //
 //   panagree-diversity <as-rel2-file> [sources] [seed] [--threads N]
-//       [--pin-threads]
 //   panagree-diversity --synthetic <num_ases> [sources] [seed]
 //   panagree-diversity --snapshot <file.pansnap> [sources] [seed]
 //
 // --threads (anywhere on the line) sets the per-source fan-out worker
-// count, 0 = one per hardware core; results are thread-count
-// independent.
+// count, 0 = one per cpu the process may run on; results are
+// thread-count independent. Malformed numbers exit 2 and name the
+// argument.
 //
 // --snapshot mmaps a compiled topology snapshot (see panagree-compile)
 // instead of re-parsing an as-rel2 file - the startup path for repeated
@@ -30,67 +30,75 @@
 
 using namespace panagree;
 
+namespace {
+
+constexpr const char* kTool = "panagree-diversity";
+
+}  // namespace
+
 int main(int raw_argc, char** raw_argv) {
-  // --threads/--pin-threads may appear anywhere; strip them before the
-  // positional logic.
+  // --threads may appear anywhere; strip it before the positional logic.
   std::size_t threads = 0;
-  bool pin_threads = panagree::cli::env_pin_threads();
   std::vector<char*> args;
   args.push_back(raw_argv[0]);
   for (int i = 1; i < raw_argc; ++i) {
-    if (std::string(raw_argv[i]) == "--version") {
-      panagree::cli::print_version("panagree-diversity");
-    } else if (std::string(raw_argv[i]) == "--threads") {
-      threads = panagree::cli::parse_threads("panagree-diversity", raw_argc,
-                                             raw_argv, i);
-    } else if (std::string(raw_argv[i]) == "--pin-threads") {
-      pin_threads = true;
+    const std::string flag = raw_argv[i];
+    if (flag == "--version") {
+      cli::print_version(kTool);
+    } else if (flag == "--threads") {
+      threads = cli::parse_threads(kTool, raw_argc, raw_argv, i);
+    } else if (flag.rfind("--", 0) == 0 && flag != "--synthetic" &&
+               flag != "--snapshot") {
+      std::cerr << kTool << ": unknown option " << flag << "\n";
+      return cli::kUsageExit;
     } else {
       args.push_back(raw_argv[i]);
     }
   }
-  panagree::cli::init_tracing();
+  cli::init_tracing();
   const int argc = static_cast<int>(args.size());
   char** argv = args.data();
   if (argc < 2) {
     std::cerr << "usage: panagree-diversity <as-rel2-file> [sources] [seed]"
-                 " [--threads N] [--pin-threads]\n"
+                 " [--threads N]\n"
               << "       panagree-diversity --synthetic <num_ases> [sources] "
                  "[seed]\n"
               << "       panagree-diversity --snapshot <file.pansnap> "
                  "[sources] [seed]\n";
     return 2;
   }
+  // Every number is validated before any topology is loaded.
+  const std::string input = argv[1];
+  const bool synthetic = input == "--synthetic";
+  const bool named_input = synthetic || input == "--snapshot";
+  if (named_input && argc < 3) {
+    std::cerr << input << " requires "
+              << (synthetic ? "a size" : "a file") << " argument\n";
+    return cli::kUsageExit;
+  }
+  const std::size_t num_ases =
+      synthetic ? cli::parse_size(kTool, input, argv[2]) : 0;
+  const int arg = named_input ? 3 : 2;
+  diversity::DiversityParams params;
+  params.sample_sources =
+      argc > arg ? cli::parse_size(kTool, "sources", argv[arg]) : 500;
+  params.seed =
+      argc > arg + 1 ? cli::parse_size(kTool, "seed", argv[arg + 1]) : 7;
+  params.threads = threads;
   try {
     topology::Graph owned;
     std::optional<storage::MappedSnapshot> snapshot;
-    int arg = 2;
-    if (std::string(argv[1]) == "--synthetic") {
-      if (argc < 3) {
-        std::cerr << "--synthetic requires a size argument\n";
-        return 2;
-      }
-      topology::GeneratorParams params;
-      params.num_ases = std::stoul(argv[2]);
-      params.seed = 424242;
-      owned = topology::generate_internet(params).graph;
-      arg = 3;
-    } else if (std::string(argv[1]) == "--snapshot") {
-      if (argc < 3) {
-        std::cerr << "--snapshot requires a file argument\n";
-        return 2;
-      }
+    if (synthetic) {
+      topology::GeneratorParams generator;
+      generator.num_ases = num_ases;
+      generator.seed = 424242;
+      owned = topology::generate_internet(generator).graph;
+    } else if (named_input) {
       snapshot.emplace(storage::MappedSnapshot::open(argv[2]));
-      arg = 3;
     } else {
       owned = topology::caida::parse_file(argv[1]).graph;
     }
     const topology::Graph& graph = snapshot ? snapshot->graph() : owned;
-    diversity::DiversityParams params;
-    params.sample_sources = argc > arg ? std::stoul(argv[arg]) : 500;
-    params.seed = argc > arg + 1 ? std::stoull(argv[arg + 1]) : 7;
-    params.threads = threads;
-    params.pin_threads = pin_threads;
 
     std::cerr << "topology: " << graph.num_ases() << " ASes, "
               << graph.num_links() << " links; analyzing "

@@ -3,7 +3,8 @@
 //
 //   panagree-gen [num_ases] [seed] [output-file]
 //
-// Defaults: 12000 ASes, seed 424242, stdout. The exported file round-trips
+// Defaults: 12000 ASes, seed 424242, stdout. A malformed number exits 2
+// and names the argument. The exported file round-trips
 // through topology::caida::parse (geolocation and capacities are derived
 // attributes and not part of the as-rel2 format).
 //
@@ -24,6 +25,12 @@
 
 using namespace panagree;
 
+namespace {
+
+constexpr const char* kTool = "panagree-gen";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   topology::GeneratorParams params;
   params.num_ases = 12000;
@@ -31,22 +38,17 @@ int main(int argc, char** argv) {
   params.seed = 424242;
   std::string output;
   if (argc > 1 && std::string_view(argv[1]) == "--version") {
-    cli::print_version("panagree-gen");
+    cli::print_version(kTool);
   }
   cli::init_tracing();
-  try {
-    if (argc > 1) {
-      params.num_ases = std::stoul(argv[1]);
-    }
-    if (argc > 2) {
-      params.seed = std::stoull(argv[2]);
-    }
-    if (argc > 3) {
-      output = argv[3];
-    }
-  } catch (const std::exception&) {
-    std::cerr << "usage: panagree-gen [num_ases] [seed] [output-file]\n";
-    return 2;
+  if (argc > 1) {
+    params.num_ases = cli::parse_size(kTool, "num_ases", argv[1]);
+  }
+  if (argc > 2) {
+    params.seed = cli::parse_size(kTool, "seed", argv[2]);
+  }
+  if (argc > 3) {
+    output = argv[3];
   }
 
   try {

@@ -5,7 +5,7 @@
 //   panagree-sweep [scenarios] [top-k] [seed]
 //       [--optimize greedy|beam] [--steps N] [--beam W] [--no-share]
 //       [--failures K | --fail-ases] [--samples N]
-//       [--snapshot FILE] [--threads N] [--pin-threads]
+//       [--snapshot FILE] [--threads N]
 //
 // Defaults: 200 candidate deployments, top 10 shown, seed 4242. Every
 // candidate is a single new peering link between two ASes that share a
@@ -78,10 +78,9 @@ struct Options {
   bool fail_ases = false;       // --fail-ases (AS-level failure universe)
   std::size_t samples = 32;     // --samples N failure-set budget
   std::string snapshot;  // --snapshot FILE (empty = PANAGREE_SNAPSHOT/env)
-  /// --threads N (default: the PANAGREE_THREADS env, 0 = hardware).
+  /// --threads N (default: the PANAGREE_THREADS env, 0 = one per
+  /// allowed cpu).
   std::size_t threads = benchcfg::num_threads();
-  /// --pin-threads (default: the PANAGREE_PIN_THREADS env).
-  bool pin_threads = cli::env_pin_threads();
 
   /// Flags are order-insensitive: an explicit --beam always wins, and
   /// --optimize beam without one defaults to width 2 (greedy = 1).
@@ -98,21 +97,26 @@ void usage() {
             << "           [--optimize greedy|beam] [--steps N] [--beam W]"
                " [--no-share]\n"
             << "           [--failures K | --fail-ases] [--samples N]\n"
-            << "           [--snapshot FILE] [--threads N]"
-               " [--pin-threads]\n";
+            << "           [--snapshot FILE] [--threads N]\n";
 }
 
+constexpr const char* kTool = "panagree-sweep";
+
+/// Parses the command line into `options`. Malformed numbers and missing
+/// option values exit kUsageExit through cli_common; other usage errors
+/// return false.
 bool parse_args(int argc, char** argv, Options& options) {
+  const auto number = [&](std::string_view flag, int& i) {
+    return cli::parse_size(kTool, flag,
+                           cli::require_value(kTool, flag, argc, argv, i));
+  };
   std::size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
-      cli::print_version("panagree-sweep");
+      cli::print_version(kTool);
     } else if (arg == "--optimize") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      const std::string mode = argv[++i];
+      const std::string mode = cli::require_value(kTool, arg, argc, argv, i);
       if (mode == "greedy") {
         options.optimize = true;
         options.beam_mode = false;
@@ -123,49 +127,34 @@ bool parse_args(int argc, char** argv, Options& options) {
         return false;
       }
     } else if (arg == "--steps") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.max_steps = std::stoul(argv[++i]);
+      options.max_steps = number(arg, i);
     } else if (arg == "--beam") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.beam_width = std::stoul(argv[++i]);
+      options.beam_width = number(arg, i);
     } else if (arg == "--failures") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.failures = std::stoul(argv[++i]);
+      options.failures = number(arg, i);
       if (options.failures == 0) {
         return false;
       }
     } else if (arg == "--fail-ases") {
       options.fail_ases = true;
     } else if (arg == "--samples") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.samples = std::stoul(argv[++i]);
+      options.samples = number(arg, i);
     } else if (arg == "--snapshot") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options.snapshot = argv[++i];
+      options.snapshot = cli::require_value(kTool, arg, argc, argv, i);
     } else if (arg == "--threads") {
-      options.threads = cli::parse_threads("panagree-sweep", argc, argv, i);
-    } else if (arg == "--pin-threads") {
-      options.pin_threads = true;
+      options.threads = cli::parse_threads(kTool, argc, argv, i);
     } else if (arg == "--no-share") {
       options.share = false;
+    } else if (arg.rfind("--", 0) == 0) {
+      return false;  // unknown option
     } else if (positional == 0) {
-      options.num_scenarios = std::stoul(arg);
+      options.num_scenarios = cli::parse_size(kTool, "scenarios", arg);
       ++positional;
     } else if (positional == 1) {
-      options.top_k = std::stoul(arg);
+      options.top_k = cli::parse_size(kTool, "top-k", arg);
       ++positional;
     } else if (positional == 2) {
-      options.seed = std::stoull(arg);
+      options.seed = cli::parse_size(kTool, "seed", arg);
       ++positional;
     } else {
       return false;
@@ -232,7 +221,6 @@ int run_failure_sweep(const Options& options,
   scenario::SweepConfig config;
   config.threads = options.threads;
   config.dirty_radius = scenario::kLength3DirtyRadius;
-  config.exec.pin_threads = options.pin_threads;
   scenario::SweepRunner<scenario::SourcePathSet> runner(compiled, sources,
                                                         config);
   runner.prime([](const scenario::Overlay& overlay, AsId src) {
@@ -369,14 +357,9 @@ int run_failure_sweep(const Options& options,
 
 int main(int argc, char** argv) {
   Options options;
-  try {
-    if (!parse_args(argc, argv, options)) {
-      usage();
-      return 2;
-    }
-  } catch (const std::exception&) {
+  if (!parse_args(argc, argv, options)) {
     usage();
-    return 2;
+    return cli::kUsageExit;
   }
   cli::init_tracing();
   const std::size_t num_scenarios = options.num_scenarios;
@@ -388,12 +371,6 @@ int main(int argc, char** argv) {
         /*synthetic_cap=*/0,
         options.snapshot.empty() ? nullptr : options.snapshot.c_str());
     const topology::CompiledTopology& compiled = net.compiled();
-    if (options.pin_threads) {
-      // Best-effort NUMA sharding of the CSR pages; a no-op on
-      // single-node hosts and results are identical regardless.
-      (void)paths::bind_topology_to_nodes(paths::TopologyPlacement::system(),
-                                          compiled);
-    }
     const econ::Economy economy = econ::make_default_economy(net.graph());
     // A CAIDA graph is embedded with synthetic geodata (and a snapshot
     // stores the world tables), so the world is always usable here.
@@ -424,7 +401,6 @@ int main(int argc, char** argv) {
       config.beam_width = beam_width;
       config.sweep.threads = options.threads;
       config.sweep.dirty_radius = scenario::kLength3DirtyRadius;
-      config.sweep.exec.pin_threads = options.pin_threads;
       config.share_recomputes = options.share;
       const scenario::Optimizer optimizer(compiled, sources, aggregator,
                                           config);
@@ -483,7 +459,6 @@ int main(int argc, char** argv) {
     scenario::SweepConfig config;
     config.threads = options.threads;
     config.dirty_radius = scenario::kLength3DirtyRadius;
-    config.exec.pin_threads = options.pin_threads;
     scenario::SweepRunner<scenario::SourcePathSet> runner(compiled, sources,
                                                           config);
     const auto enumerate = [](const scenario::Overlay& overlay, AsId src) {

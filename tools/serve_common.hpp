@@ -42,13 +42,13 @@ struct ServeContext {
   /// sampled with the benches' shared seed.
   ServeContext(const char* snapshot_override, std::size_t sources_n,
                std::size_t threads, std::size_t max_batch,
-               std::size_t shards = 1, bool pin_threads = false)
+               std::size_t shards = 1)
       : net(benchcfg::load_internet(0, snapshot_override)),
         economy(econ::make_default_economy(net.graph())),
         sources(diversity::sample_sources(net.graph(), sources_n,
                                           benchcfg::kSampleSeed)),
         engines(make_engines(net, economy, sources, shards, threads,
-                             max_batch, pin_threads)),
+                             max_batch)),
         router(engine_pointers(engines), router_config(max_batch)) {}
 
   ServeContext(const ServeContext&) = delete;
@@ -75,12 +75,10 @@ struct ServeContext {
 
  private:
   static serve::EngineConfig engine_config(std::size_t threads,
-                                           std::size_t max_batch,
-                                           bool pin_threads) {
+                                           std::size_t max_batch) {
     serve::EngineConfig config;
     config.threads = threads;
     config.max_batch = max_batch;
-    config.pin_threads = pin_threads;
     return config;
   }
 
@@ -93,7 +91,7 @@ struct ServeContext {
   static std::vector<std::unique_ptr<serve::QueryEngine>> make_engines(
       const benchcfg::Internet& net, const econ::Economy& economy,
       const std::vector<topology::AsId>& sources, std::size_t shards,
-      std::size_t threads, std::size_t max_batch, bool pin_threads) {
+      std::size_t threads, std::size_t max_batch) {
     util::require(shards > 0, "serve: need at least one shard");
     util::require(shards <= std::max<std::size_t>(sources.size(), 1),
                   "serve: more shards than sampled sources");
@@ -106,7 +104,7 @@ struct ServeContext {
           net.compiled(), &net.world(), &economy,
           std::vector<topology::AsId>(sources.begin() + begin,
                                       sources.begin() + end),
-          engine_config(threads, max_batch, pin_threads)));
+          engine_config(threads, max_batch)));
     }
     return engines;
   }
