@@ -16,7 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <memory>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -42,7 +42,6 @@
 #include "panagree/scenario/metrics.hpp"
 #include "panagree/scenario/sweep.hpp"
 #include "panagree/serve/query_engine.hpp"
-#include "panagree/serve/shard_router.hpp"
 #include "panagree/sim/engine.hpp"
 #include "panagree/storage/snapshot.hpp"
 #include "panagree/topology/capacity.hpp"
@@ -640,25 +639,31 @@ BENCHMARK(BM_SnapshotLoad_EmbedRecompile)->Unit(benchmark::kMillisecond);
 // sample. CachedSource measures the request fast path (sampled source
 // served zero-copy out of the PathPool-backed cache - this is what the
 // pinned bench suite gates); ColdSource the on-the-fly enumeration of an
-// unsampled source; WhatIfBatched the incremental what-if scoring of 100
-// candidate deployments (memo flushed per batch, so the
-// invalidation-ball evaluation is measured, not the memo hit).
+// unsampled source; WhatIfBatched/T the incremental what-if scoring of
+// 100 candidate deployments on an engine with T threads, which spread
+// each what-if's dirty sources (memo flushed per batch, so the
+// invalidation-ball evaluation is measured, not the memo hit);
+// utility_sum is the same at every T (the byte-identity fingerprint).
 // WhatIfFullRecompute is the preserved per-request baseline - every
 // request re-enumerates all 500 sources over its overlay - that the
 // serving layer's >= 5x acceptance ratio is measured against; like the
 // other *_FullRecompute ablations it stays out of the pinned suite.
 
-serve::QueryEngine& cached_engine() {
+/// One primed engine per thread count (0 = one per allowed cpu).
+serve::QueryEngine& cached_engine(std::size_t threads = 0) {
   // Leaked on purpose: the engine is not movable (shared mutex) and
   // static-destruction order vs the other cached fixtures is moot for a
   // bench binary.
-  static serve::QueryEngine* engine = [] {
-    auto* built =
+  static std::map<std::size_t, serve::QueryEngine*> engines;
+  serve::QueryEngine*& engine = engines[threads];
+  if (engine == nullptr) {
+    serve::EngineConfig config;
+    config.threads = threads;
+    engine =
         new serve::QueryEngine(cached_compiled(), &cached_topology().world,
-                               &cached_economy(), sweep_sources(), {});
-    built->prime();
-    return built;
-  }();
+                               &cached_economy(), sweep_sources(), config);
+    engine->prime();
+  }
   return *engine;
 }
 
@@ -725,7 +730,8 @@ void BM_QueryEngine_ColdSource(benchmark::State& state) {
 BENCHMARK(BM_QueryEngine_ColdSource);
 
 void BM_QueryEngine_WhatIfBatched(benchmark::State& state) {
-  const serve::QueryEngine& engine = cached_engine();
+  const serve::QueryEngine& engine =
+      cached_engine(static_cast<std::size_t>(state.range(0)));
   const auto& deltas = sweep_deltas();
   double utility_sum = 0.0;
   double recomputed = 0.0;
@@ -745,7 +751,10 @@ void BM_QueryEngine_WhatIfBatched(benchmark::State& state) {
   state.counters["recomputed_sources_per_request"] =
       recomputed / static_cast<double>(deltas.size());
 }
-BENCHMARK(BM_QueryEngine_WhatIfBatched)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryEngine_WhatIfBatched)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngine_WhatIfFullRecompute(benchmark::State& state) {
   // The pre-serving way to answer one what-if request: enumerate every
@@ -839,63 +848,6 @@ void BM_Metrics_Contribution(benchmark::State& state) {
   state.counters["km_fee_sum"] = km_fee_sum;
 }
 BENCHMARK(BM_Metrics_Contribution)->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------------- sharded serving
-//
-// BM_Serve_ShardedWhatIf is the 4-shard twin of
-// BM_QueryEngine_WhatIfBatched: the same candidate deltas scored
-// through a serve::ShardRouter (per-shard whatif_slice fan-out + the
-// router's in-order contribution fold), memo flushed per batch so the
-// sharded evaluation is measured, not the router memo hit; utility_sum
-// must match the single-engine entry (byte-identity property).
-
-serve::ShardRouter& cached_router() {
-  // Leaked like cached_engine(): router and shards are not movable and
-  // must outlive each other.
-  static serve::ShardRouter* router = [] {
-    constexpr std::size_t kShards = 4;
-    const auto& sources = sweep_sources();
-    const std::size_t n = sources.size();
-    auto* engines = new std::vector<std::unique_ptr<serve::QueryEngine>>();
-    std::vector<serve::QueryEngine*> pointers;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      engines->push_back(std::make_unique<serve::QueryEngine>(
-          cached_compiled(), &cached_topology().world, &cached_economy(),
-          std::vector<topology::AsId>(
-              sources.begin() + s * n / kShards,
-              sources.begin() + (s + 1) * n / kShards)));
-      engines->back()->prime();
-      pointers.push_back(engines->back().get());
-    }
-    auto* built = new serve::ShardRouter(std::move(pointers));
-    built->refresh_baseline();
-    return built;
-  }();
-  return *router;
-}
-
-void BM_Serve_ShardedWhatIf(benchmark::State& state) {
-  serve::ShardRouter& router = cached_router();
-  const auto& deltas = sweep_deltas();
-  double utility_sum = 0.0;
-  double recomputed = 0.0;
-  for (auto _ : state) {
-    router.flush_whatif_memo();
-    utility_sum = 0.0;
-    recomputed = 0.0;
-    for (const scenario::Delta& delta : deltas) {
-      const serve::WhatIfResult result = router.whatif(delta);
-      utility_sum += result.utility;
-      recomputed += static_cast<double>(result.recomputed_sources);
-    }
-    benchmark::DoNotOptimize(utility_sum);
-  }
-  state.SetItemsProcessed(state.iterations() * deltas.size());
-  state.counters["utility_sum"] = utility_sum;
-  state.counters["recomputed_sources_per_request"] =
-      recomputed / static_cast<double>(deltas.size());
-}
-BENCHMARK(BM_Serve_ShardedWhatIf)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- parallel driver trio
 //
@@ -1084,7 +1036,7 @@ void BM_Serve_StageClockOverhead(benchmark::State& state) {
   // slowlog offer, and - tracing disarmed here - no span recording).
   // Compare against BM_QueryEngine_CachedSource/1024 for the
   // uninstrumented floor of the same request.
-  const serve::QueryEngine& engine = cached_engine();
+  serve::QueryEngine& engine = cached_engine();
   const auto& sources = sweep_sources();
   const std::string line_prefix = R"({"v":1,"id":1,"kind":"paths","source":)";
   std::vector<std::string> lines;

@@ -204,7 +204,7 @@ SweepStats evaluate_candidate(const SearchState& state, const Delta& delta,
             aggregator.contribution(overlay, result, scratch));
         eval.fresh.push_back(std::move(result));
       },
-      &sweep_stats);
+      /*threads=*/1, &sweep_stats);
   eval.dirty_sources.reserve(eval.dirty_positions.size());
   for (const std::size_t position : eval.dirty_positions) {
     eval.dirty_sources.push_back(state.runner.sources()[position]);

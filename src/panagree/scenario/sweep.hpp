@@ -264,16 +264,19 @@ class SweepRunner {
     }
   }
 
-  /// Dirty-slice evaluation for *concurrent candidate scoring*: invokes
-  /// `visit(source_index, overlay, result)` only for the dirty sources
-  /// (in order), computing each result serially on the calling thread and
-  /// leaving the runner untouched - so many candidate deltas can be
-  /// evaluated against the same state from a parallel fan-out (e.g.
-  /// paths::map_indices over candidates), each worker paying only its own
-  /// candidate's invalidation ball. The overlay handed to the visitor is
-  /// the composed (state + delta) view the results were enumerated over.
+  /// Dirty-slice evaluation that leaves the runner untouched, so many
+  /// deltas can be evaluated against the same state concurrently: maps
+  /// `fn(overlay, source)` over the dirty sources on up to `threads`
+  /// workers (results stored by position), then invokes
+  /// `visit(source_index, overlay, result)` serially on the calling
+  /// thread, in source order - so the visit sequence never depends on
+  /// the worker count. A candidate-parallel caller (the optimizer, which
+  /// already fans out over candidates) passes 1; a single request (the
+  /// serving engine's what-if) spreads its own ball. The overlay handed
+  /// to `fn` and the visitor is the composed (state + delta) view.
   template <typename Fn, typename Visit>
   void evaluate_dirty_visit(const Delta& delta, const Fn& fn, Visit&& visit,
+                            std::size_t threads,
                             SweepStats* stats = nullptr) const {
     util::require(primed_, "SweepRunner::evaluate_dirty_visit: prime() first");
     const obs::TraceSpan span("sweep.evaluate");
@@ -282,13 +285,28 @@ class SweepRunner {
     overlay.apply(state_.empty() ? delta : compose(state_, delta));
     const std::vector<AsId> ball = invalidation_ball(
         overlay, touched_ases(delta), config_.dirty_radius);
-    std::size_t recomputed = 0;
+    std::vector<std::size_t> positions;
+    std::vector<AsId> dirty;
     for (std::size_t i = 0; i < sources_.size(); ++i) {
       if (std::binary_search(ball.begin(), ball.end(), sources_[i])) {
-        visit(i, overlay, fn(overlay, sources_[i]));
-        ++recomputed;
+        positions.push_back(i);
+        dirty.push_back(sources_[i]);
       }
     }
+    // Each dirty source is a whole enumeration, so two already pay for
+    // a worker; map_indices' default threshold (kMinParallelSources, 32)
+    // would leave all but hub deltas serial.
+    const std::vector<std::uint64_t> costs =
+        paths::two_hop_cost_estimates(*base_, dirty);
+    paths::MapOptions options;
+    options.min_parallel = 2;
+    options.costs = costs;
+    auto results = paths::map_sources(
+        dirty, threads, [&](AsId src) { return fn(overlay, src); }, options);
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+      visit(positions[k], overlay, std::move(results[k]));
+    }
+    const std::size_t recomputed = positions.size();
     if (stats != nullptr) {
       stats->recomputed_sources = recomputed;
       stats->cached_sources = sources_.size() - recomputed;

@@ -70,9 +70,9 @@ scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
           .count());
 }
 
-/// The Scratches of one parallel refold. A worker borrows one per source
-/// and hands it back, so a refold allocates at most one per worker (each
-/// holds a slot per AS), and all of them are freed when the refold
+/// The Scratches of one parallel refold or what-if. A worker borrows one
+/// per source and hands it back, so a fan-out allocates at most one per
+/// worker (each holds a slot per AS), and all of them are freed when it
 /// returns.
 class ScratchPool {
  public:
@@ -98,9 +98,12 @@ class ScratchPool {
   std::vector<std::unique_ptr<scenario::MetricsAggregator::Scratch>> idle_;
 };
 
-}  // namespace
-
-namespace detail {
+/// Per-request-kind counter + latency histogram (serve.requests.*,
+/// serve.latency_ns.*).
+struct RequestMetricsRef {
+  obs::Counter& count;
+  obs::Histogram& latency_ns;
+};
 
 RequestMetricsRef& request_metrics(RequestKind kind) {
   obs::Registry& reg = obs::Registry::global();
@@ -135,8 +138,6 @@ RequestMetricsRef& error_metrics() {
   return errors;
 }
 
-}  // namespace detail
-
 /// Order-insensitive key of a delta: the memo must batch "the same dirty
 /// ball" however the client listed the links. Pair direction is kept for
 /// added links (provider/customer roles) and normalized for removals
@@ -169,8 +170,6 @@ std::string canonical_delta_key(const scenario::Delta& delta) {
   }
   return key;
 }
-
-namespace {
 
 [[nodiscard]] DiversityResult to_diversity_result(
     const scenario::SourceContribution& contribution) {
@@ -321,18 +320,29 @@ DiversityResult QueryEngine::diversity(AsId src) const {
 
 WhatIfResult QueryEngine::compute_whatif(const State& state,
                                          const scenario::Delta& delta) const {
+  // Enumerate and score each dirty source on the engine's workers (the
+  // contribution is most of a what-if's cost); the runner hands the
+  // results back in source order.
   scenario::SweepStats stats;
   std::vector<std::size_t> dirty_positions;
   std::vector<scenario::SourceContribution> fresh;
-  scenario::MetricsAggregator::Scratch scratch;
+  ScratchPool pool;
   state.runner.evaluate_dirty_visit(
-      delta, enumerate,
-      [&](std::size_t i, const scenario::Overlay& overlay,
-          const scenario::SourcePathSet& result) {
-        dirty_positions.push_back(i);
-        fresh.push_back(aggregator_.contribution(overlay, result, scratch));
+      delta,
+      [&](const scenario::Overlay& overlay, AsId src) {
+        const scenario::SourcePathSet sets = enumerate(overlay, src);
+        auto scratch = pool.acquire();
+        const scenario::SourceContribution contribution =
+            aggregator_.contribution(overlay, sets, *scratch);
+        pool.release(std::move(scratch));
+        return contribution;
       },
-      &stats);
+      [&](std::size_t i, const scenario::Overlay&,
+          const scenario::SourceContribution& contribution) {
+        dirty_positions.push_back(i);
+        fresh.push_back(contribution);
+      },
+      config_.threads, &stats);
 
   // Splice the dirty slices into the state's per-source contributions
   // (fixed source-order association, exactly like the optimizer's fold).
@@ -360,33 +370,6 @@ WhatIfResult QueryEngine::compute_whatif(const State& state,
   result.cached_sources = stats.cached_sources;
   result.ball_size = stats.ball_size;
   return result;
-}
-
-QueryEngine::ContributionView QueryEngine::contributions() const {
-  const std::shared_ptr<const State> state = snapshot();
-  ContributionView view;
-  view.contribs = state->contribs;
-  view.pin = std::move(state);
-  return view;
-}
-
-QueryEngine::WhatIfSlice QueryEngine::whatif_slice(
-    const scenario::Delta& delta) const {
-  const std::shared_ptr<const State> state = snapshot();
-  WhatIfSlice slice;
-  scenario::MetricsAggregator::Scratch scratch;
-  state->runner.evaluate_dirty_visit(
-      delta, enumerate,
-      [&](std::size_t i, const scenario::Overlay& overlay,
-          const scenario::SourcePathSet& result) {
-        slice.dirty_positions.push_back(i);
-        slice.fresh.push_back(
-            aggregator_.contribution(overlay, result, scratch));
-      },
-      &slice.stats);
-  slice.baseline = state->contribs;
-  slice.pin = std::move(state);
-  return slice;
 }
 
 WhatIfResult QueryEngine::whatif(const scenario::Delta& delta) const {
@@ -438,7 +421,7 @@ WhatIfResult QueryEngine::whatif(const scenario::Delta& delta) const {
   }
 }
 
-void QueryEngine::rebase(const scenario::Delta& step) {
+std::uint64_t QueryEngine::rebase(const scenario::Delta& step) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   const std::shared_ptr<const State> current = snapshot();
   // Copy-on-rebase: the expensive work happens on a private clone while
@@ -448,13 +431,15 @@ void QueryEngine::rebase(const scenario::Delta& step) {
   next->overlay.clear();
   next->overlay.apply(next->runner.state());
   next->refresh_contributions(aggregator_, config_);
+  std::uint64_t epoch = 0;
   {
     const std::unique_lock<std::shared_mutex> lock(state_mutex_);
     state_ = std::move(next);
-    ++epoch_;
+    epoch = ++epoch_;
   }
   engine_metrics().rebases.increment();
   flush_whatif_memo();
+  return epoch;
 }
 
 void QueryEngine::flush_whatif_memo() const {
@@ -466,7 +451,7 @@ void QueryEngine::flush_whatif_memo() const {
 }
 
 void QueryEngine::handle_line(std::string_view line, std::string& out,
-                              RequestStages* stages) const {
+                              RequestStages* stages) {
   RequestStages local;
   RequestStages& st = stages != nullptr ? *stages : local;
   st.start_ns = stage_now_ns();
@@ -482,7 +467,7 @@ void QueryEngine::handle_line(std::string_view line, std::string& out,
     // Count the request before handling it, so a stats response
     // deterministically includes itself (the CI smoke asserts exact
     // counts for a scripted session).
-    detail::RequestMetricsRef& metrics = detail::request_metrics(request.kind);
+    RequestMetricsRef& metrics = request_metrics(request.kind);
     metrics.count.increment();
     switch (request.kind) {
       case RequestKind::kPaths: {
@@ -551,12 +536,19 @@ void QueryEngine::handle_line(std::string_view line, std::string& out,
         st.serialize_ns = stage_now_ns() - engine_done_ns;
         break;
       }
-      case RequestKind::kRebase:
-        // Rebase over the wire is the shard router's job (it owns the
-        // cross-shard epoch barrier); on the bare engine it would race
-        // the const dispatch path, so the kind is rejected here.
-        throw util::PreconditionError(
-            "rebase requires the shard-router front end");
+      case RequestKind::kRebase: {
+        st.delta_links =
+            request.delta.add.size() + request.delta.remove.size();
+        st.work = EngineWork::kSweep;
+        const std::uint64_t new_epoch = rebase(request.delta);
+        const std::uint64_t engine_done_ns = stage_now_ns();
+        st.engine_ns = engine_done_ns - parsed_ns;
+        append_rebase_response(out, request.id, new_epoch);
+        const std::uint64_t done_ns = stage_now_ns();
+        st.serialize_ns = done_ns - engine_done_ns;
+        metrics.latency_ns.record(done_ns - st.start_ns);
+        break;
+      }
       case RequestKind::kSlowLog: {
         metrics.latency_ns.record(stage_now_ns() - st.start_ns);
         obs::SlowQueryLog& log = obs::SlowQueryLog::global();
@@ -582,7 +574,7 @@ void QueryEngine::handle_line(std::string_view line, std::string& out,
     st.wire_id = id;
     st.slow_kind = kSlowKindError;
     st.work = EngineWork::kNone;
-    detail::RequestMetricsRef& errors = detail::error_metrics();
+    RequestMetricsRef& errors = error_metrics();
     errors.count.increment();
     errors.latency_ns.record(caught_ns - st.start_ns);
     append_error_response(out, id, e.what());

@@ -1,8 +1,9 @@
 // The serving layer's query engine: a long-running, thread-safe front end
-// over one topology snapshot and one primed scenario::SweepRunner.
+// over one topology snapshot and one primed scenario::SweepRunner - the
+// one dispatcher behind panagree-serve and panagree-query --direct.
 //
 // Every batch tool in this repo loads, enumerates, prints, and exits; the
-// engine keeps the expensive state resident and answers three request
+// engine keeps the expensive state resident and answers its request
 // kinds out of it:
 //
 //   * paths      - the §VI GRC + MA length-3 path sets of a source.
@@ -15,7 +16,13 @@
 //                  state: only the sources inside the delta's
 //                  invalidation ball are re-enumerated (the SweepRunner
 //                  machinery), never a full recompute, and the scenario
-//                  is re-scored in O(sources) additive folds.
+//                  is re-scored in O(sources) additive folds. The dirty
+//                  sources are enumerated and scored on up to
+//                  EngineConfig::threads workers, results kept by
+//                  position and folded in source order, so the bytes
+//                  never depend on the thread count.
+//   * rebase     - commit a deployment step (copy-on-rebase, below) and
+//                  answer the new epoch.
 //
 // Concurrency model: read-mostly. The engine state (runner cache,
 // per-source contributions, baseline metrics) lives behind a
@@ -24,8 +31,9 @@
 // on their snapshot. rebase() (committing a deployment program step) is
 // copy-on-rebase: it clones the state, folds the step into the clone's
 // cache (recomputing only the step's invalidation ball), and swaps the
-// pointer under the exclusive lock - in-flight readers keep their old
-// snapshot alive, so readers never block on a rebase.
+// pointer and bumps the epoch under the exclusive lock - in-flight
+// readers keep their old snapshot alive, so readers never block on a
+// rebase and every request is answered wholly from one epoch.
 //
 // Epoch batching: concurrent whatif requests for the same delta share one
 // enumeration. The first requester installs a shared future keyed by the
@@ -132,32 +140,11 @@ struct RequestStages {
 /// itself for --direct calls.
 void finish_request_observation(const RequestStages& stages);
 
-/// Order-insensitive canonical key of a delta (whatif/rebase memo key):
-/// added links keep their direction (provider/customer roles), removals
-/// are normalized undirected, both sorted. Shared by the engine's epoch
-/// batch and the shard router's.
-[[nodiscard]] std::string canonical_delta_key(const scenario::Delta& delta);
-
-namespace detail {
-
-/// Per-request-kind counter + latency histogram (serve.requests.*,
-/// serve.latency_ns.*), shared by every dispatch front end so a scripted
-/// session scores the same counters through the engine, the shard
-/// router, or --direct.
-struct RequestMetricsRef {
-  obs::Counter& count;
-  obs::Histogram& latency_ns;
-};
-
-[[nodiscard]] RequestMetricsRef& request_metrics(RequestKind kind);
-[[nodiscard]] RequestMetricsRef& error_metrics();
-
-}  // namespace detail
-
 struct EngineConfig {
-  /// Worker threads of the prime()/rebase() per-source fan-outs - path
-  /// enumeration and the contribution refold (0 = one per allowed cpu).
-  /// Request handling itself runs on the caller's thread.
+  /// Worker threads of the per-source fan-outs (0 = one per allowed
+  /// cpu): prime()/rebase() path enumeration and contribution refold,
+  /// and the dirty sources of one what-if. Everything else a request
+  /// does runs on the caller's thread.
   std::size_t threads = 0;
   /// Bound on memoized what-if evaluations per epoch (the epoch batch):
   /// concurrent identical requests share one enumeration up to this many
@@ -225,49 +212,22 @@ class QueryEngine {
   [[nodiscard]] WhatIfResult whatif(const scenario::Delta& delta) const;
 
   /// Folds a committed deployment step into the served state
-  /// (copy-on-rebase; see the header comment). Readers are never blocked
-  /// for the duration of the recompute, only for the pointer swap.
-  void rebase(const scenario::Delta& step);
+  /// (copy-on-rebase; see the header comment) and returns the new epoch.
+  /// Readers are never blocked for the duration of the recompute, only
+  /// for the pointer swap. A step the state overlay rejects throws
+  /// util::PreconditionError and leaves state and epoch unchanged.
+  std::uint64_t rebase(const scenario::Delta& step);
 
   /// Drops the what-if memo without changing state - lets benches and
   /// tests measure the unshared evaluation cost.
   void flush_whatif_memo() const;
 
-  /// A pinned view of the per-source baseline contributions of the
-  /// current state, in sources() order. `pin` keeps the underlying state
-  /// generation alive for as long as the view is held - the shard
-  /// router's fold across shards reads these spans lock-free.
-  struct ContributionView {
-    std::shared_ptr<const void> pin;
-    std::span<const scenario::SourceContribution> contribs;
-  };
-  [[nodiscard]] ContributionView contributions() const;
-
-  /// The epoch-batch seam the shard router plugs into: evaluates `delta`
-  /// over this engine's source sample and returns the splice inputs -
-  /// per-source baseline contributions, the dirty positions (local
-  /// indices into sources()), their freshly recomputed contributions, and
-  /// the sweep accounting - instead of a finalized score. The router
-  /// concatenates the slices of all shards in canonical source order and
-  /// runs the finalize/subtract/utility fold once, which is what keeps an
-  /// N-shard response byte-identical to the single-engine one (floating-
-  /// point addition is order-sensitive; partial per-shard sums would
-  /// round differently). Bypasses the engine's whatif memo - batching
-  /// happens at the router.
-  struct WhatIfSlice {
-    std::shared_ptr<const void> pin;
-    std::span<const scenario::SourceContribution> baseline;
-    std::vector<std::size_t> dirty_positions;
-    std::vector<scenario::SourceContribution> fresh;
-    scenario::SweepStats stats;
-  };
-  [[nodiscard]] WhatIfSlice whatif_slice(const scenario::Delta& delta) const;
-
   /// Parses one request line, dispatches it, and appends the
   /// newline-terminated response to `out`: the single entry point shared
   /// by the server workers and the client's --direct mode, which is what
-  /// makes their bytes identical. Never throws: malformed requests and
-  /// engine rejections become error responses (id 0 when the line was too
+  /// makes their bytes identical. Thread-safe; a `rebase` line commits
+  /// through rebase(). Never throws: malformed requests and engine
+  /// rejections become error responses (id 0 when the line was too
   /// broken to carry one).
   ///
   /// Stage clock: when `stages` is non-null the parse/engine/serialize
@@ -275,7 +235,7 @@ class QueryEngine {
   /// is left to the caller (the server finishes after send); when null,
   /// the request is finished here with no queue/send stages (--direct).
   void handle_line(std::string_view line, std::string& out,
-                   RequestStages* stages = nullptr) const;
+                   RequestStages* stages = nullptr);
 
  private:
   struct State;

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "panagree/obs/metrics.hpp"
-#include "panagree/serve/shard_router.hpp"
 
 namespace panagree::serve {
 
@@ -131,21 +130,8 @@ struct Server::ReaderShard {
   std::vector<std::shared_ptr<Connection>> live;
 };
 
-Server::Server(const QueryEngine& engine, ServerConfig config)
-    : handler_([&engine](std::string_view line, std::string& out,
-                         RequestStages* stages) {
-        engine.handle_line(line, out, stages);
-      }),
-      config_(config) {
-  validate(config_);
-}
-
-Server::Server(ShardRouter& router, ServerConfig config)
-    : handler_([&router](std::string_view line, std::string& out,
-                         RequestStages* stages) {
-        router.handle_line(line, out, stages);
-      }),
-      config_(config) {
+Server::Server(QueryEngine& engine, ServerConfig config)
+    : engine_(&engine), config_(config) {
   validate(config_);
 }
 
@@ -490,7 +476,7 @@ void Server::worker_loop() {
     std::string out;
     RequestStages stages;
     stages.enqueue_ns = item.enqueue_ns;
-    handler_(item.line, out, &stages);
+    engine_->handle_line(item.line, out, &stages);
     {
       const std::lock_guard<std::mutex> write(item.conn->write_mutex);
       const std::uint64_t send_start_ns = stage_now_ns();

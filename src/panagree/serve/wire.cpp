@@ -73,8 +73,9 @@ using util::json::Value;
     if (rounded != *number ||
         *number < static_cast<double>(
                       std::numeric_limits<std::int64_t>::min()) ||
-        *number > static_cast<double>(
-                      std::numeric_limits<std::int64_t>::max())) {
+        // INT64_MAX rounds up to 2^63 as a double: compare against 2^63
+        // exclusively, or 2^63 itself passes and the cast overflows.
+        *number >= 0x1p63) {
       reject(std::string(what) + " must be an integer");
     }
     return static_cast<std::int64_t>(rounded);

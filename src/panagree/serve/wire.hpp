@@ -21,12 +21,9 @@
 // `rebase` is the admin kind: it adopts the delta into the serving
 // baseline (every subsequent paths/diversity/whatif answers against the
 // rebased topology) and responds {"v":1,"id":12,"ok":true,
-// "kind":"rebase","epoch":E} with the post-rebase epoch. Against a
-// sharded front-end the delta is applied to every shard under one epoch
-// barrier, so concurrent readers never observe a mix of old and new
-// shards. The bare QueryEngine rejects the kind with an error response
-// (rebase there is a library call on the owning thread, not a wire
-// operation).
+// "kind":"rebase","epoch":E} with the post-rebase epoch. The engine
+// swaps state and epoch together, so a concurrent request is answered
+// wholly from the old epoch or wholly from the new one.
 //
 // A stats response carries the server's build identity and a snapshot of
 // the obs registry (counters/gauges/histograms, names sorted ascending,

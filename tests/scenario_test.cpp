@@ -250,19 +250,22 @@ std::vector<Delta> random_deltas(const Graph& g, std::size_t count,
   return deltas;
 }
 
+/// The 200-AS Internet the SweepEquivalence tests sweep over.
+topology::GeneratedTopology sweep_topology() {
+  topology::GeneratorParams params;
+  params.num_ases = 200;
+  params.tier1_count = 4;
+  params.seed = 77;
+  return topology::generate_internet(params);
+}
+
 /// The tentpole property: for randomized delta batches, the incremental
 /// sweep result of every scenario is byte-identical to a full
 /// recompile-and-recompute of the mutated graph, at 1, 2, and 8 threads.
 class SweepEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SweepEquivalence, IncrementalMatchesFullRecomputeAtAnyThreadCount) {
-  const auto topo = topology::generate_internet([] {
-    topology::GeneratorParams params;
-    params.num_ases = 200;
-    params.tier1_count = 4;
-    params.seed = 77;
-    return params;
-  }());
+  const auto topo = sweep_topology();
   const Graph& g = topo.graph;
   const CompiledTopology compiled(g);
   util::Rng rng(GetParam());
@@ -317,6 +320,48 @@ TEST_P(SweepEquivalence, IncrementalMatchesFullRecomputeAtAnyThreadCount) {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       EXPECT_EQ(by_config[0][d][i], enumerate_length3(none, sources[i]))
           << "delta " << d << " source " << sources[i];
+    }
+  }
+}
+
+/// evaluate_dirty_visit spreads the dirty sources over its workers but
+/// visits them serially in source order: at every worker count the
+/// visited positions are exactly the dirty ones, ascending, and each
+/// result equals evaluate()'s slot.
+TEST_P(SweepEquivalence, DirtyVisitMatchesEvaluateAtAnyWorkerCount) {
+  const auto topo = sweep_topology();
+  const CompiledTopology compiled(topo.graph);
+  util::Rng rng(GetParam());
+  const auto deltas = random_deltas(topo.graph, 6, rng);
+  std::vector<AsId> sources;
+  for (AsId as = 0; as < topo.graph.num_ases(); as += 3) {
+    sources.push_back(as);
+  }
+  const auto enumerate = [](const Overlay& overlay, AsId src) {
+    return enumerate_length3(overlay, src);
+  };
+  SweepConfig config;
+  config.dirty_radius = kLength3DirtyRadius;
+  SweepRunner<SourcePathSet> runner(compiled, sources, config);
+  runner.prime(enumerate);
+  for (const Delta& delta : deltas) {
+    SweepStats expected;
+    const std::vector<SourcePathSet> full =
+        runner.evaluate(delta, enumerate, &expected);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      std::vector<std::size_t> positions;
+      SweepStats stats;
+      runner.evaluate_dirty_visit(
+          delta, enumerate,
+          [&](std::size_t i, const Overlay&, const SourcePathSet& result) {
+            EXPECT_TRUE(positions.empty() || positions.back() < i);
+            positions.push_back(i);
+            EXPECT_EQ(result, full[i]) << "threads " << threads;
+          },
+          threads, &stats);
+      EXPECT_EQ(positions.size(), expected.recomputed_sources);
+      EXPECT_EQ(stats.recomputed_sources, expected.recomputed_sources);
+      EXPECT_EQ(stats.ball_size, expected.ball_size);
     }
   }
 }

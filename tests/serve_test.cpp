@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -235,6 +236,20 @@ TEST(Wire, StatsResponseParserRejectsGarbage) {
   EXPECT_THROW(parse_stats_response(
                    R"({"v":1,"id":1,"ok":false,"error":"boom"})"),
                ProtocolError);
+  // Gauges are signed 64-bit. INT64_MAX rounds up to 2^63 as a double,
+  // so 2^63 must be rejected rather than cast out of range, while -2^63
+  // is INT64_MIN exactly.
+  const std::string head =
+      R"({"v":1,"id":1,"ok":true,"kind":"stats","build":"b","epoch":0,)"
+      R"("counters":{},"gauges":{"g":)";
+  const std::string tail = R"(},"histograms":{}})";
+  EXPECT_THROW(parse_stats_response(head + "9223372036854775808.0" + tail),
+               ProtocolError);
+  const StatsResult lowest =
+      parse_stats_response(head + "-9223372036854775808.0" + tail);
+  ASSERT_EQ(lowest.metrics.gauges.size(), 1u);
+  EXPECT_EQ(lowest.metrics.gauges[0].value,
+            std::numeric_limits<std::int64_t>::min());
 }
 
 // ----------------------------------------------------------- query engine
@@ -488,7 +503,7 @@ TEST(QueryEngine, StateMetricsAndWhatIfUtilitiesArePinned) {
 /// one byte string: state metrics and every sampled source's diversity
 /// (doubles in hex-float form), then the handle_line responses of
 /// `whatifs`.
-std::string refold_transcript(const ServeFixture& f, const QueryEngine& engine,
+std::string refold_transcript(const ServeFixture& f, QueryEngine& engine,
                               const std::vector<std::string>& whatifs) {
   std::string out;
   const auto put = [&](double value) {

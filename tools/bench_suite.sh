@@ -43,9 +43,9 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # including the slow-query ring's worst-case eviction scan
 # (Obs_SlowlogRecord) and the whole per-request stage-clock +
 # observation cost on the cache-served fast path (Serve_StageClock).
-# Serve_ShardedWhatIf gates the 4-shard what-if fan-out + fold (its
-# utility_sum must keep matching QueryEngine_WhatIfBatched, the
-# byte-identity fingerprint). Metrics_Contribution gates the serial
+# QueryEngine_WhatIfBatched/4 gates the what-if dirty-source fan-out
+# over 4 engine threads (its utility_sum must keep matching the 1-thread
+# row, the byte-identity fingerprint). Metrics_Contribution gates the serial
 # contribution kernel alone - the fold behind every prime, rebase and
 # what-if; its `paths` and `km_fee_sum` counters are a bit-identity
 # fingerprint that must not move.
@@ -53,7 +53,7 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # need enough iterations to average the heavy-tailed per-source costs,
 # or run-to-run noise defeats the 30% regression gate.
 "$BUILD/bench_perf_micro" \
-  --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|Serve_ShardedWhatIf|Convergence|Metrics_Contribution)'
+  --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|QueryEngine_WhatIfBatched/4|Convergence|Metrics_Contribution)'
 
 echo "bench suite results in $OUT:"
 ls -l "$OUT"

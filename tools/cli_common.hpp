@@ -18,8 +18,10 @@
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string_view>
 
 #include "panagree/obs/build_info.hpp"
@@ -83,16 +85,31 @@ inline std::size_t parse_threads(const char* tool, int argc, char** argv,
 /// variable is unset or obs is compiled out). Call once at tool startup.
 inline void init_tracing() { obs::trace_init_from_env(); }
 
-/// Default of the --slow-ms option (slow-query capture threshold in
-/// milliseconds; 0 = capture every request): the PANAGREE_SLOW_MS
-/// environment override when set and well-formed, `fallback` otherwise.
-/// Malformed values error out like any malformed option (kUsageExit).
+/// Parses a slow-query capture threshold in milliseconds (0 = capture
+/// every request) like parse_size, and also exits kUsageExit when the
+/// threshold in nanoseconds would not fit in 64 bits - a wrapped product
+/// would silently capture nearly every request.
+inline std::size_t parse_slow_ms(const char* tool, std::string_view flag,
+                                 std::string_view value) {
+  constexpr std::size_t kMaxMs =
+      std::numeric_limits<std::uint64_t>::max() / 1'000'000;
+  const std::size_t ms = parse_size(tool, flag, value);
+  if (ms > kMaxMs) {
+    std::cerr << tool << ": invalid " << flag << " '" << value
+              << "': at most " << kMaxMs << " ms\n";
+    std::exit(kUsageExit);
+  }
+  return ms;
+}
+
+/// Default of the --slow-ms option: the PANAGREE_SLOW_MS environment
+/// override when set and valid (parse_slow_ms), `fallback` otherwise.
 inline std::size_t env_slow_ms(const char* tool, std::size_t fallback) {
   const char* env = std::getenv("PANAGREE_SLOW_MS");
   if (env == nullptr || env[0] == '\0') {
     return fallback;
   }
-  return parse_size(tool, "PANAGREE_SLOW_MS", env);
+  return parse_slow_ms(tool, "PANAGREE_SLOW_MS", env);
 }
 
 }  // namespace panagree::cli

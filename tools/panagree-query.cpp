@@ -2,7 +2,6 @@
 //
 //   panagree-query --port P                # send stdin lines, print replies
 //   panagree-query --direct [--snapshot FILE] [--sources N] [--threads N]
-//       [--shards N]
 //   panagree-query --port P --bench [--snapshot FILE] [--requests N]
 //       [--connections C] [--kind paths|diversity|whatif|mix] [--sources N]
 //   panagree-query --port P --stats [--prom]   # scrape server metrics
@@ -15,10 +14,9 @@
 //
 // --direct answers the same request lines in-process through the exact
 // serving-stack construction panagree-serve uses (tools/serve_common.hpp,
-// ShardRouter included - so `rebase` lines work and --shards N is
-// accepted, though responses are byte-identical at any shard count): its
-// output is the golden reference the CI smoke job diffs server output
-// against, byte for byte.
+// so `rebase` lines work too; responses are byte-identical at any
+// --threads): its output is the golden reference the CI smoke job diffs
+// server output against, byte for byte.
 //
 // --bench is a closed-loop load generator: C connections each fire their
 // share of N deterministic requests (rotating over the sampled sources
@@ -61,7 +59,7 @@ void usage() {
   std::cerr
       << "usage: panagree-query --port P            (requests on stdin)\n"
          "       panagree-query --direct [--snapshot FILE] [--sources N]"
-         " [--threads N] [--shards N]\n"
+         " [--threads N]\n"
          "       panagree-query --port P --bench [--snapshot FILE]"
          " [--requests N]\n"
          "           [--connections C] [--kind paths|diversity|whatif|mix]"
@@ -96,7 +94,6 @@ struct Options {
   std::string snapshot;
   std::size_t sources_n = benchcfg::num_sources();
   std::size_t threads = benchcfg::num_threads();
-  std::size_t shards = 1;
   std::size_t requests = 2000;
   std::size_t connections = 4;
   std::string kind = "mix";
@@ -247,8 +244,7 @@ int run_stats(const Options& options) {
 int run_direct(const Options& options) {
   servecfg::ServeContext context(
       options.snapshot.empty() ? nullptr : options.snapshot.c_str(),
-      options.sources_n, options.threads, /*max_batch=*/256,
-      options.shards);
+      options.sources_n, options.threads, /*max_batch=*/256);
   context.prime();
   std::string line;
   std::string out;
@@ -257,7 +253,7 @@ int run_direct(const Options& options) {
       continue;
     }
     out.clear();
-    context.router.handle_line(line, out);
+    context.engine.handle_line(line, out);
     std::cout << out;
   }
   return 0;
@@ -305,13 +301,6 @@ int main(int argc, char** argv) {
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
     } else if (arg == "--threads") {
       options.threads = cli::parse_threads(kTool, argc, argv, i);
-    } else if (arg == "--shards") {
-      options.shards = cli::parse_size(
-          kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
-      if (options.shards == 0) {
-        usage();
-        return cli::kUsageExit;
-      }
     } else if (arg == "--requests") {
       options.requests = cli::parse_size(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));

@@ -1,7 +1,7 @@
 // panagree-serve: the long-running path/what-if query daemon.
 //
 //   panagree-serve [--snapshot FILE] [--port P] [--threads N]
-//       [--max-batch B] [--sources N] [--shards N] [--max-queue Q]
+//       [--max-batch B] [--sources N] [--max-queue Q]
 //       [--stats-interval SEC] [--slow-ms MS] [--version]
 //
 // Opens the topology (a mmap'd .pansnap via --snapshot or
@@ -11,19 +11,18 @@
 // 127.0.0.1:--port until SIGTERM/SIGINT, which drains gracefully: every
 // accepted request is answered before exit.
 //
-// --shards N partitions the source sample across N QueryEngine shards
-// behind a serve::ShardRouter (responses stay byte-identical to
-// --shards 1); the router also serves the admin `rebase` wire kind.
-// Priming enumerates every sampled source's paths and folds its
-// contribution; the readiness line ends with the wall time of both
-// phases (enumerate_ms=, fold_ms=).
+// One serve::QueryEngine answers every kind, the admin `rebase`
+// included (copy-on-rebase epochs). Priming enumerates every sampled
+// source's paths and folds its contribution; the readiness line ends
+// with the wall time of both phases (enumerate_ms=, fold_ms=).
 //
 // --port 0 binds an ephemeral port; the chosen port is in the
 // "listening" line. That line goes to *stdout* (everything else to
 // stderr) as the machine-readable readiness signal scripts wait for.
 //
-// --threads drives both the prime/rebase fan-out and the worker pool
-// (0 = one per cpu the process may run on); --max-batch bounds the
+// --threads drives the prime/rebase fan-out, the spread of one what-if's
+// dirty sources and the worker pool (0 = one per cpu the process may run
+// on); --max-batch bounds the
 // per-epoch what-if memo (concurrent identical what-ifs share one
 // enumeration); --sources is the cached sample size (the paper's 500 by
 // default, PANAGREE_SOURCES honored). The kernel places threads and
@@ -39,7 +38,8 @@
 // capture threshold: requests whose attributed wall time reaches MS
 // milliseconds land in the slow-query ring served by the `slowlog` wire
 // kind (panagree-query --slowlog, panagree-top). 0 captures every
-// request - what the CI smoke uses to assert full stage breakdowns.
+// request - what the CI smoke uses to assert full stage breakdowns. A
+// threshold whose nanoseconds overflow 64 bits is a usage error.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -69,8 +69,7 @@ constexpr const char* kTool = "panagree-serve";
 void usage() {
   std::cerr << "usage: panagree-serve [--snapshot FILE] [--port P]"
                " [--threads N]\n"
-               "           [--max-batch B] [--sources N] [--shards N]"
-               " [--max-queue Q]\n"
+               "           [--max-batch B] [--sources N] [--max-queue Q]\n"
                "           [--stats-interval SEC] [--slow-ms MS]"
                " [--version]\n";
 }
@@ -126,7 +125,6 @@ int main(int argc, char** argv) {
   std::size_t threads = benchcfg::num_threads();
   std::size_t max_batch = 256;
   std::size_t sources_n = benchcfg::num_sources();
-  std::size_t shards = 1;
   std::size_t max_queue = 1024;
   std::size_t stats_interval = 0;
   std::size_t slow_ms = cli::env_slow_ms(kTool, 10);
@@ -151,13 +149,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--sources") {
       sources_n = cli::parse_size(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
-    } else if (arg == "--shards") {
-      shards = cli::parse_size(
-          kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
-      if (shards == 0) {
-        std::cerr << kTool << ": --shards must be at least 1\n";
-        return cli::kUsageExit;
-      }
     } else if (arg == "--max-queue") {
       max_queue = cli::parse_size(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
@@ -165,7 +156,7 @@ int main(int argc, char** argv) {
       stats_interval = cli::parse_size(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
     } else if (arg == "--slow-ms") {
-      slow_ms = cli::parse_size(
+      slow_ms = cli::parse_slow_ms(
           kTool, arg, cli::require_value(kTool, arg, argc, argv, i));
     } else {
       usage();
@@ -179,7 +170,7 @@ int main(int argc, char** argv) {
   try {
     servecfg::ServeContext context(
         snapshot.empty() ? nullptr : snapshot.c_str(), sources_n, threads,
-        max_batch, shards);
+        max_batch);
     const auto prime_start = std::chrono::steady_clock::now();
     const serve::PrimeTiming timing = context.prime();
     const double prime_ms = std::chrono::duration<double, std::milli>(
@@ -188,8 +179,7 @@ int main(int argc, char** argv) {
                                 .count();
     const std::string phase_ms = prime_phase_fields(timing);
     std::cerr << "[serve] primed " << context.sources.size()
-              << " sources across " << shards << " shard"
-              << (shards == 1 ? "" : "s") << " in " << prime_ms << " ms ("
+              << " sources in " << prime_ms << " ms ("
               << context.net.graph().num_ases() << " ASes) " << phase_ms
               << "\n";
 
@@ -197,7 +187,7 @@ int main(int argc, char** argv) {
     server_config.port = static_cast<std::uint16_t>(port);
     server_config.worker_threads = paths::resolve_thread_count(threads);
     server_config.max_queue = max_queue;
-    serve::Server server(context.router, server_config);
+    serve::Server server(context.engine, server_config);
     server.start();
 
     if (::pipe(g_signal_pipe) != 0) {
@@ -211,13 +201,11 @@ int main(int argc, char** argv) {
 
     // The readiness line scripts and clients wait for - stdout, flushed.
     // After the address, every field is one whitespace-free key=value
-    // token: the cpus the process may run on, the shard count, the
-    // role-filter kernel in use (so scripts can verify PANAGREE_NO_SIMD
-    // took effect without attaching to the process), the build and the
-    // prime phases.
+    // token: the cpus the process may run on, the role-filter kernel in
+    // use (so scripts can verify PANAGREE_NO_SIMD took effect without
+    // attaching to the process), the build and the prime phases.
     std::cout << "listening on 127.0.0.1:" << server.port()
               << " affinity=" << paths::affinity_summary()
-              << " shards=" << shards
               << " simd=" << paths::role_filter_dispatch()
               << " build=" << obs::build_info().git_describe << " "
               << phase_ms << std::endl;
@@ -240,7 +228,7 @@ int main(int argc, char** argv) {
         break;
       }
       if (ready == 0) {
-        emit_stats_line(context.router.epoch());
+        emit_stats_line(context.engine.epoch());
         continue;
       }
       break;  // shutdown byte pending

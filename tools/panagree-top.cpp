@@ -12,10 +12,6 @@
 //     the same estimator as the Prometheus exposition);
 //   * queue depth and its high-water mark, cache hit rates (paths
 //     cache vs cold, whatif memo sharing), uptime and peak RSS;
-//   * per-shard QPS and epoch columns when the daemon is sharded (the
-//     serve.shards gauge and serve.shard.<i>.* metrics are present);
-//     against a pre-shard daemon the section simply does not render and
-//     the aggregate rows above stand alone;
 //   * the slow-query table: the server's slow-query ring, slowest
 //     first, with the per-stage nanosecond breakdown of each entry.
 //
@@ -197,41 +193,6 @@ void render_frame(const Frame& frame, const Frame* previous,
       " unshared\n",
       percent(cache_hits, cache_hits + cold), cache_hits,
       cache_hits + cold, memo_hits, memo_shared, memo_unshared);
-
-  // Sharded daemons publish serve.shards plus per-shard request
-  // counters and epoch gauges; a pre-shard daemon has none of them, and
-  // the section degrades to nothing (the aggregate rows above are the
-  // whole story then).
-  const std::int64_t num_shards = find_gauge(snap, "serve.shards");
-  if (num_shards > 0) {
-    std::printf("\n%-8s %12s %10s %8s\n", "shard", "requests", "qps",
-                "epoch");
-    for (std::int64_t shard = 0; shard < num_shards; ++shard) {
-      const std::string prefix =
-          "serve.shard." + std::to_string(shard) + ".";
-      const std::uint64_t requests =
-          find_counter(snap, prefix + "requests");
-      double shard_qps = 0.0;
-      if (previous != nullptr) {
-        const std::uint64_t prev_requests =
-            find_counter(previous->stats.metrics, prefix + "requests");
-        const double dt =
-            std::chrono::duration<double>(frame.at - previous->at).count();
-        if (dt > 0 && requests >= prev_requests) {
-          shard_qps = static_cast<double>(requests - prev_requests) / dt;
-        }
-      } else {
-        const std::int64_t uptime = find_gauge(snap, "process.uptime_s");
-        if (uptime > 0) {
-          shard_qps =
-              static_cast<double>(requests) / static_cast<double>(uptime);
-        }
-      }
-      std::printf("%-8" PRId64 " %12" PRIu64 " %10.1f %8" PRId64 "\n",
-                  shard, requests, shard_qps,
-                  find_gauge(snap, prefix + "epoch"));
-    }
-  }
 
   std::printf("\nslow queries (threshold %.1f ms, %zu captured):\n",
               ns_to_ms(frame.slowlog.threshold_ns),
