@@ -5,7 +5,8 @@
 // Environment overrides:
 //   PANAGREE_ASES=<n>        topology size (synthetic only)
 //   PANAGREE_SOURCES=<n>     analyzed-source sample size
-//   PANAGREE_THREADS=<n>     worker threads (0 = one per allowed cpu)
+//   PANAGREE_THREADS=<n>     worker threads (0 = one per allowed cpu,
+//                            at most paths::kMaxThreads)
 //   PANAGREE_CAIDA=<path>    run on a real CAIDA as-rel2 relationship file
 //                            instead of the generator; the graph is embedded
 //                            in a synthetic world (tiers, PoPs, facilities)
@@ -28,6 +29,7 @@
 #include <span>
 #include <string>
 
+#include "panagree/paths/parallel.hpp"
 #include "panagree/storage/snapshot.hpp"
 #include "panagree/topology/caida.hpp"
 #include "panagree/topology/capacity.hpp"
@@ -66,7 +68,16 @@ inline std::size_t num_sources() {
 
 /// Worker threads for per-source fan-outs (0 = one per allowed cpu);
 /// override with PANAGREE_THREADS. Results are thread-count independent.
-inline std::size_t num_threads() { return env_size("PANAGREE_THREADS", 0); }
+/// Counts above paths::kMaxThreads exit 2 like a malformed value.
+inline std::size_t num_threads() {
+  const std::size_t threads = env_size("PANAGREE_THREADS", 0);
+  if (threads > paths::kMaxThreads) {
+    std::cerr << "[bench] invalid PANAGREE_THREADS='" << threads
+              << "': at most " << paths::kMaxThreads << "\n";
+    std::exit(2);
+  }
+  return threads;
+}
 
 /// Path to a CAIDA as-rel2 file, or nullptr for the synthetic generator.
 inline const char* caida_path() {

@@ -258,6 +258,7 @@ BENCHMARK(BM_DiversityReport_Threads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_SipHash(benchmark::State& state) {
@@ -393,6 +394,7 @@ void BM_ScenarioSweep_FullRecompute(benchmark::State& state) {
 BENCHMARK(BM_ScenarioSweep_FullRecompute)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioSweep_Incremental(benchmark::State& state) {
@@ -434,6 +436,7 @@ void BM_ScenarioSweep_Incremental(benchmark::State& state) {
 BENCHMARK(BM_ScenarioSweep_Incremental)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- convergence dynamics pair
@@ -494,6 +497,7 @@ void BM_Convergence_FailureSweep(benchmark::State& state) {
 BENCHMARK(BM_Convergence_FailureSweep)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------ deployment optimizer pair
@@ -538,7 +542,10 @@ void BM_Optimizer_Exhaustive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * candidates.size());
   state.counters["top_candidate"] = static_cast<double>(top_candidate);
 }
-BENCHMARK(BM_Optimizer_Exhaustive)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Optimizer_Exhaustive)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Optimizer_Greedy(benchmark::State& state) {
   const auto& compiled = cached_compiled();
@@ -568,7 +575,10 @@ void BM_Optimizer_Greedy(benchmark::State& state) {
   state.counters["recomputed_sources"] =
       static_cast<double>(result.stats.recomputed_sources);
 }
-BENCHMARK(BM_Optimizer_Greedy)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Optimizer_Greedy)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------- snapshot storage pair
 //
@@ -754,6 +764,7 @@ void BM_QueryEngine_WhatIfBatched(benchmark::State& state) {
 BENCHMARK(BM_QueryEngine_WhatIfBatched)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngine_WhatIfFullRecompute(benchmark::State& state) {
@@ -849,18 +860,14 @@ void BM_Metrics_Contribution(benchmark::State& state) {
 }
 BENCHMARK(BM_Metrics_Contribution)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- parallel driver trio
+// ------------------------------------------- parallel driver
 //
-// The scheduling-overhead workload of the work-stealing driver (ISSUE:
-// BM_MapSources_Skewed >= 2x over the atomic-cursor baseline). All three
-// benches run the *same* heavy-tailed item set - every 512th item spins
-// ~128x longer, the shape of per-source costs on a real AS topology - so
-// the measured difference is pure claim overhead: the atomic baseline
-// pays one shared fetch_add per item, the work-stealing driver one CAS
-// per chunk on a per-worker cache line. Skewed additionally seeds the
-// partition from the known costs (what SweepRunner does with
-// two_hop_cost_estimates). The checksum counter is the byte-identity
-// fingerprint - all three must report the same value.
+// The scheduling-overhead workload of the parallel driver: 2^18 items
+// that each take nanoseconds, heavy-tailed the way per-source costs are
+// on a real AS topology (every 512th item spins ~256x longer). What the
+// row measures is claim overhead: the guided cursor takes one CAS per
+// shrinking chunk, so the whole set costs a few hundred claims. The
+// checksum counter is the byte-identity fingerprint and must not move.
 
 constexpr std::size_t kDriverItems = 1 << 18;
 
@@ -873,66 +880,24 @@ std::uint64_t driver_item_work(std::size_t i) {
   return acc;
 }
 
-const std::vector<std::uint64_t>& driver_item_costs() {
-  static const std::vector<std::uint64_t> costs = [] {
-    std::vector<std::uint64_t> c(kDriverItems, 1);
-    for (std::size_t i = 0; i < kDriverItems; i += 512) {
-      c[i] = 128;
+void BM_MapSources(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  std::uint64_t checksum = 0;
+  for (auto _ : state) {
+    checksum = 0;
+    for (const std::uint64_t r :
+         paths::map_indices(kDriverItems, threads, driver_item_work)) {
+      checksum += r;
     }
-    return c;
-  }();
-  return costs;
-}
-
-std::uint64_t sum_results(const std::vector<std::uint64_t>& results) {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t r : results) {
-    sum += r;
-  }
-  return sum;
-}
-
-void BM_MapSources_AtomicCursor(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    checksum =
-        sum_results(paths::map_indices_atomic(kDriverItems, threads,
-                                              driver_item_work));
     benchmark::DoNotOptimize(checksum);
   }
   state.SetItemsProcessed(state.iterations() * kDriverItems);
   state.counters["checksum"] = static_cast<double>(checksum);
 }
-BENCHMARK(BM_MapSources_AtomicCursor)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_MapSources_WorkStealing(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    checksum = sum_results(
-        paths::map_indices(kDriverItems, threads, driver_item_work));
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kDriverItems);
-  state.counters["checksum"] = static_cast<double>(checksum);
-}
-BENCHMARK(BM_MapSources_WorkStealing)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_MapSources_Skewed(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  paths::MapOptions options;
-  options.costs = driver_item_costs();
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    checksum = sum_results(
-        paths::map_indices(kDriverItems, threads, driver_item_work, options));
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kDriverItems);
-  state.counters["checksum"] = static_cast<double>(checksum);
-}
-BENCHMARK(BM_MapSources_Skewed)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MapSources)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- role-filter kernel pair
 //

@@ -18,10 +18,11 @@
 //      the dirty set is conservative in both directions of the delta.
 //
 //   2. *Determinism.* Clean sources reuse the cached baseline result;
-//      dirty sources are recomputed over paths::map_sources, whose output
-//      is in source order at any thread count. Spliced results are
-//      therefore byte-identical to a full recompute of the mutated graph,
-//      serial or parallel (scenario_test locks this in).
+//      prime() and the dirty recomputes call paths::map_sources directly,
+//      whose output is in source order at any thread count however its
+//      cursor hands the sources out. Spliced results are therefore
+//      byte-identical to a full recompute of the mutated graph, serial or
+//      parallel (scenario_test locks this in).
 //
 // The per-source function must be pure, thread-safe, and local: its result
 // may depend only on topology within dirty_radius hops of the source.
@@ -179,9 +180,8 @@ class SweepRunner {
     const obs::TraceSpan span("sweep.prime");
     const std::uint64_t start = detail::sweep_clock_ns();
     const Overlay empty(*base_);
-    cache_ = paths::map_sources(
-        sources_, config_.threads,
-        [&](AsId src) { return fn(empty, src); }, map_options(sources_));
+    cache_ = paths::map_sources(sources_, config_.threads,
+                                [&](AsId src) { return fn(empty, src); });
     state_ = Delta{};
     primed_ = true;
     if constexpr (obs::enabled()) {
@@ -296,13 +296,9 @@ class SweepRunner {
     // Each dirty source is a whole enumeration, so two already pay for
     // a worker; map_indices' default threshold (kMinParallelSources, 32)
     // would leave all but hub deltas serial.
-    const std::vector<std::uint64_t> costs =
-        paths::two_hop_cost_estimates(*base_, dirty);
-    paths::MapOptions options;
-    options.min_parallel = 2;
-    options.costs = costs;
     auto results = paths::map_sources(
-        dirty, threads, [&](AsId src) { return fn(overlay, src); }, options);
+        dirty, threads, [&](AsId src) { return fn(overlay, src); },
+        /*min_parallel=*/2);
     for (std::size_t k = 0; k < positions.size(); ++k) {
       visit(positions[k], overlay, std::move(results[k]));
     }
@@ -378,10 +374,8 @@ class SweepRunner {
         dirty_sources_.push_back(sources_[i]);
       }
     }
-    fresh_ = paths::map_sources(
-        dirty_sources_, config_.threads,
-        [&](AsId src) { return fn(overlay, src); },
-        map_options(dirty_sources_));
+    fresh_ = paths::map_sources(dirty_sources_, config_.threads,
+                                [&](AsId src) { return fn(overlay, src); });
 
     if (stats != nullptr) {
       stats->recomputed_sources = dirty_sources_.size();
@@ -399,21 +393,6 @@ class SweepRunner {
     return dirty_sources_.size();
   }
 
-  /// Driver options of a fan-out over `sources`: degree-aware cost
-  /// seeding, so one hub source among hundreds of stubs seeds as its own
-  /// worker range instead of serializing the tail (the estimate is exact
-  /// for the length-3 enumerations and a sound proxy otherwise; stealing
-  /// corrects any residue). The estimates are computed against the base
-  /// snapshot - deltas move single links, which cannot change the cost
-  /// *ranking* enough to matter for seeding.
-  [[nodiscard]] paths::MapOptions map_options(
-      const std::vector<AsId>& sources) {
-    cost_scratch_ = paths::two_hop_cost_estimates(*base_, sources);
-    paths::MapOptions options;
-    options.costs = cost_scratch_;
-    return options;
-  }
-
   const CompiledTopology* base_;
   std::vector<AsId> sources_;
   SweepConfig config_;
@@ -427,8 +406,6 @@ class SweepRunner {
   std::vector<std::size_t> dirty_positions_;
   std::vector<AsId> dirty_sources_;
   std::vector<Result> fresh_;
-  /// Backs the cost span handed to the driver (map_options).
-  std::vector<std::uint64_t> cost_scratch_;
 };
 
 }  // namespace panagree::scenario

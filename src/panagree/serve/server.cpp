@@ -43,6 +43,11 @@ struct ServerMetrics {
 /// broken or hostile client, not a big request.
 constexpr std::size_t kMaxLineBytes = 1 << 20;
 
+/// Pooled reader threads; the accept loop deals connections round-robin
+/// across them. 2 keeps one shard making progress while the other blocks
+/// on queue backpressure.
+constexpr std::size_t kReaderThreads = 2;
+
 /// Per-send() blocking bound (SO_SNDTIMEO): a client that stops reading
 /// its responses costs a worker at most this long per write attempt
 /// before the connection is dropped, so a wedged client can delay the
@@ -57,8 +62,6 @@ constexpr time_t kSendTimeoutSeconds = 30;
 void validate(const ServerConfig& config) {
   util::require(config.worker_threads > 0,
                 "Server: need at least one worker thread");
-  util::require(config.reader_threads > 0,
-                "Server: need at least one reader thread");
   util::require(config.max_queue > 0, "Server: need a non-empty queue");
 }
 
@@ -179,8 +182,8 @@ void Server::start() {
   stopping_ = false;
   draining_ = false;
   next_shard_ = 0;
-  reader_shards_.reserve(config_.reader_threads);
-  for (std::size_t i = 0; i < config_.reader_threads; ++i) {
+  reader_shards_.reserve(kReaderThreads);
+  for (std::size_t i = 0; i < kReaderThreads; ++i) {
     auto shard = std::make_unique<ReaderShard>();
     // Non-blocking both ways: the reader drains the pipe without
     // blocking, and notify() never stalls an accept or stop on a full

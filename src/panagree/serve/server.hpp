@@ -50,10 +50,6 @@ struct ServerConfig {
   std::size_t worker_threads = 2;
   /// Bounded request queue; readers block when it is full.
   std::size_t max_queue = 1024;
-  /// Pooled reader threads; connections are dealt round-robin across
-  /// them. 2 keeps one shard making progress while the other blocks on
-  /// queue backpressure.
-  std::size_t reader_threads = 2;
 };
 
 class Server {

@@ -33,16 +33,19 @@ export PANAGREE_SNAPSHOT="$OUT/suite.pansnap"
 # perf_micro: the CSR / sweep / optimizer trajectory benches. The
 # heavyweight *_FullRecompute and *_Exhaustive ablation baselines are
 # excluded on purpose - they exist to measure one-off speedup factors,
-# not to be tracked per commit. The MapSources trio and RoleFilter pair
-# ARE tracked including their baselines (AtomicCursor, Scalar): they are
-# cheap, and gating both sides keeps the work-stealing and SIMD speedup
-# ratios visible in the committed JSON, not just asserted once. The Obs
-# pair gates the per-record overhead of the metrics layer itself
-# (counter = one sharded relaxed add, histogram = two) so accidental
-# fattening of the record path is caught like any other regression -
-# including the slow-query ring's worst-case eviction scan
-# (Obs_SlowlogRecord) and the whole per-request stage-clock +
-# observation cost on the cache-served fast path (Serve_StageClock).
+# not to be tracked per commit. MapSources/4 gates the parallel driver's
+# claim overhead (2^18 heavy-tailed items through the guided cursor; its
+# checksum must not move). The RoleFilter pair is tracked including its
+# Scalar baseline: both are cheap, and gating both sides keeps the SIMD
+# speedup ratio visible in the committed JSON, not just asserted once.
+# Rows that take a thread count are timed in wall-clock time
+# (UseRealTime), so their names end in /real_time. The Obs pair gates the
+# per-record overhead of the metrics layer itself (counter = one sharded
+# relaxed add, histogram = two) so accidental fattening of the record path
+# is caught like any other regression - including the slow-query ring's
+# worst-case eviction scan (Obs_SlowlogRecord) and the whole per-request
+# stage-clock + observation cost on the cache-served fast path
+# (Serve_StageClock).
 # QueryEngine_WhatIfBatched/4 gates the what-if dirty-source fan-out
 # over 4 engine threads (its utility_sum must keep matching the 1-thread
 # row, the byte-identity fingerprint). Metrics_Contribution gates the serial

@@ -13,8 +13,8 @@
 //     bench_common uses for malformed PANAGREE_* environment overrides;
 //   * --threads means the same thing everywhere: worker threads for
 //     per-source fan-outs, 0 = one per cpu the process may run on
-//     (paths::resolve_thread_count), overriding the PANAGREE_THREADS
-//     environment default.
+//     (paths::resolve_thread_count), at most paths::kMaxThreads,
+//     overriding the PANAGREE_THREADS environment default.
 #pragma once
 
 #include <charconv>
@@ -26,6 +26,7 @@
 
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/trace.hpp"
+#include "panagree/paths/parallel.hpp"
 #include "panagree/paths/role_filter.hpp"
 
 namespace panagree::cli {
@@ -63,11 +64,17 @@ inline std::size_t parse_size(const char* tool, std::string_view flag,
 
 /// The shared --threads option (call with argv[i] == "--threads"):
 /// consumes the value and returns the worker count, 0 = one per allowed
-/// cpu.
+/// cpu. Counts above paths::kMaxThreads exit kUsageExit.
 inline std::size_t parse_threads(const char* tool, int argc, char** argv,
                                  int& i) {
-  return parse_size(tool, "--threads",
-                    require_value(tool, "--threads", argc, argv, i));
+  const char* value = require_value(tool, "--threads", argc, argv, i);
+  const std::size_t threads = parse_size(tool, "--threads", value);
+  if (threads > paths::kMaxThreads) {
+    std::cerr << tool << ": invalid --threads '" << value << "': at most "
+              << paths::kMaxThreads << "\n";
+    std::exit(kUsageExit);
+  }
+  return threads;
 }
 
 /// The shared --version flag: one line of build provenance (git
