@@ -647,12 +647,13 @@ BENCHMARK(BM_SnapshotLoad_EmbedRecompile)->Unit(benchmark::kMillisecond);
 // The acceptance workload of the serving layer: a primed
 // serve::QueryEngine over the 3000-AS fixture and the shared 500-source
 // sample. CachedSource measures the request fast path (sampled source
-// served zero-copy out of the PathPool-backed cache - this is what the
-// pinned bench suite gates); ColdSource the on-the-fly enumeration of an
-// unsampled source; WhatIfBatched/T the incremental what-if scoring of
-// 100 candidate deployments on an engine with T threads, which spread
-// each what-if's dirty sources (memo flushed per batch, so the
-// invalidation-ball evaluation is measured, not the memo hit);
+// served zero-copy: the cached SourcePathSet itself goes to the sink -
+// this is what the pinned bench suite gates); ColdSource the on-the-fly
+// enumeration of an unsampled source; WhatIfBatched/T the incremental
+// what-if scoring of 100 candidate deployments on an engine with T
+// threads, which spread each what-if's dirty sources (memo flushed per
+// batch, so the invalidation-ball evaluation is measured, not the memo
+// hit);
 // utility_sum is the same at every T (the byte-identity fingerprint).
 // WhatIfFullRecompute is the preserved per-request baseline - every
 // request re-enumerates all 500 sources over its overlay - that the
@@ -692,9 +693,8 @@ void BM_QueryEngine_CachedSource(benchmark::State& state) {
     checksum = 0;
     for (std::size_t r = 0; r < kBatch; ++r) {
       engine.paths(sources[r % sources.size()],
-                   [&](std::span<const diversity::Length3Path> grc,
-                       std::span<const diversity::Length3Path> ma) {
-                     checksum += grc.size() + 3 * ma.size();
+                   [&](const scenario::SourcePathSet& sets) {
+                     checksum += sets.grc().size() + 3 * sets.ma().size();
                    });
     }
     benchmark::DoNotOptimize(checksum);
@@ -727,9 +727,8 @@ void BM_QueryEngine_ColdSource(benchmark::State& state) {
     // fingerprint, independent of iteration count.
     checksum = 0;
     engine.paths(cold[i % cold.size()],
-                 [&](std::span<const diversity::Length3Path> grc,
-                     std::span<const diversity::Length3Path> ma) {
-                   checksum += grc.size() + 3 * ma.size();
+                 [&](const scenario::SourcePathSet& sets) {
+                   checksum += sets.grc().size() + 3 * sets.ma().size();
                  });
     ++i;
     benchmark::DoNotOptimize(checksum);

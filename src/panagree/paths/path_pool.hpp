@@ -2,18 +2,18 @@
 // vectors.
 //
 // At CAIDA scale (~70k ASes) the per-path std::vector representation does
-// not survive: a compiled SPP instance or a cached sweep result holds
-// millions of short AS sequences, and a heap block (plus a 24-byte header)
-// per path dominates both memory and allocation time. BasicPathPool is the
-// shared fix: paths are appended once into a single growing buffer and
-// referred to by offset-based Slice handles - 12 bytes per path, stable
-// across arena growth (offsets, not pointers), trivially serializable.
+// not survive: a compiled SPP instance holds millions of short AS
+// sequences, and a heap block (plus a 24-byte header) per path dominates
+// both memory and allocation time. PathPool is the fix: paths are
+// appended once into a single growing buffer and referred to by
+// offset-based Slice handles - 12 bytes per path, stable across arena
+// growth (offsets, not pointers), trivially serializable.
 //
 // Users:
 //   * bgp::SppInstance interns every permitted path here and hands out
-//     PathListView/PathView windows instead of vector references;
-//   * scenario::SourcePathSet interns a source's GRC and MA length-3 path
-//     sets as two slices of one arena (the unit SweepRunner caches).
+//     PathListView/PathView windows instead of vector references.
+// (scenario::SourcePathSet, the sweep cache's unit, stores its length-3
+// paths run-length over hops instead; see scenario/metrics.hpp.)
 #pragma once
 
 #include <algorithm>
@@ -27,11 +27,10 @@
 
 namespace panagree::paths {
 
-/// Append-only arena of `T` sequences. Slices index the arena by offset, so
-/// they stay valid while views (which carry pointers) are invalidated by
-/// growth - take views late, keep slices.
-template <typename T>
-class BasicPathPool {
+/// Append-only arena of AS-id sequences. Slices index the arena by
+/// offset, so they stay valid while views (which carry pointers) are
+/// invalidated by growth - take views late, keep slices.
+class PathPool {
  public:
   struct Slice {
     std::uint64_t offset = 0;
@@ -41,9 +40,9 @@ class BasicPathPool {
   };
 
   /// Copies `items` into the arena and returns its slice.
-  Slice intern(std::span<const T> items) {
+  Slice intern(std::span<const topology::AsId> items) {
     util::require(items.size() <= std::numeric_limits<std::uint32_t>::max(),
-                  "BasicPathPool::intern: sequence too long");
+                  "PathPool::intern: sequence too long");
     const Slice slice{items_.size(), static_cast<std::uint32_t>(items.size())};
     items_.insert(items_.end(), items.begin(), items.end());
     return slice;
@@ -51,7 +50,7 @@ class BasicPathPool {
 
   /// Appends one item (incremental building; slice the run afterwards with
   /// slice_of()).
-  void push_back(const T& item) { items_.push_back(item); }
+  void push_back(topology::AsId item) { items_.push_back(item); }
 
   /// The slice covering [begin, size()) - the tail appended since `begin`.
   [[nodiscard]] Slice slice_of(std::size_t begin) const {
@@ -59,26 +58,17 @@ class BasicPathPool {
     return Slice{begin, static_cast<std::uint32_t>(items_.size() - begin)};
   }
 
-  [[nodiscard]] std::span<const T> view(Slice slice) const {
+  [[nodiscard]] std::span<const topology::AsId> view(Slice slice) const {
     PANAGREE_ASSERT(slice.offset + slice.length <= items_.size());
     return {items_.data() + slice.offset, slice.length};
   }
 
   /// Total items interned (the offset the next intern would receive).
   [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
-  void reserve(std::size_t items) { items_.reserve(items); }
-  void clear() { items_.clear(); }
-
-  friend bool operator==(const BasicPathPool&, const BasicPathPool&) = default;
 
  private:
-  std::vector<T> items_;
+  std::vector<topology::AsId> items_;
 };
-
-/// The canonical pool: AS-id sequences.
-using PathPool = BasicPathPool<topology::AsId>;
 
 /// Lightweight read-only window over one pooled path. Implicitly
 /// constructible from a std::vector<AsId> path so pooled and materialized

@@ -29,6 +29,7 @@ SourcePathSet enumerate_length3(const Overlay& overlay, AsId src) {
                            }
                            return true;
                          });
+  out.shrink_to_fit();
   return out;
 }
 
@@ -260,39 +261,34 @@ SourceContribution MetricsAggregator::contribution(
       slot.has_km = true;
     }
   };
-  // Enumeration emits the paths of one (src, mid) hop as a run, so the
-  // s-m link and its legs are looked up once per run; each path then
-  // costs one m-d link lookup and a table-driven facility minimum.
-  const auto fold = [&](std::span<const diversity::Length3Path> paths,
-                        bool grc) {
-    AsId run_src = topology::kInvalidAs;
-    AsId run_mid = topology::kInvalidAs;
-    bool run_geo = false;
-    std::uint32_t l1 = 0;
-    diversity::HopLegs head;
-    for (const diversity::Length3Path& p : paths) {
-      if (p.src != run_src || p.mid != run_mid) {
-        run_src = p.src;
-        run_mid = p.mid;
-        run_geo = geodesy_.has_value() && has_geo_[p.src] != 0 &&
-                  has_geo_[p.mid] != 0;
-        if (run_geo) {
-          const auto link = overlay.link_between(p.src, p.mid);
-          util::require(link.has_value(),
-                        "path_geodistance_km: path hops must be linked");
-          l1 = *link;
-          head = hop_legs(overlay, l1, p.src, scratch);
+  // The s-m link and its legs are looked up once per hop run; each path
+  // then costs one m-d link lookup and a table-driven facility minimum.
+  const AsId src = result.source();
+  const auto fold = [&](const SourcePathSet::Paths& paths, bool grc) {
+    paths.for_each_run([&](AsId mid, std::span<const AsId> dsts) {
+      const bool run_geo = geodesy_.has_value() && has_geo_[src] != 0 &&
+                           has_geo_[mid] != 0;
+      std::uint32_t l1 = 0;
+      diversity::HopLegs head;
+      if (run_geo) {
+        const auto link = overlay.link_between(src, mid);
+        util::require(link.has_value(),
+                      "path_geodistance_km: path hops must be linked");
+        l1 = *link;
+        head = hop_legs(overlay, l1, src, scratch);
+      }
+      for (const AsId dst : dsts) {
+        const diversity::Length3Path p{src, mid, dst};
+        if (!run_geo || has_geo_[dst] == 0) {
+          consider(p, grc, false, 0.0);
+          continue;
         }
+        const auto l2 = overlay.link_between(mid, dst);
+        util::require(l2.has_value(),
+                      "path_geodistance_km: path hops must be linked");
+        consider(p, grc, true, path_km(overlay, p, l1, head, *l2, scratch));
       }
-      if (!run_geo || has_geo_[p.dst] == 0) {
-        consider(p, grc, false, 0.0);
-        continue;
-      }
-      const auto l2 = overlay.link_between(p.mid, p.dst);
-      util::require(l2.has_value(),
-                    "path_geodistance_km: path hops must be linked");
-      consider(p, grc, true, path_km(overlay, p, l1, head, *l2, scratch));
-    }
+    });
   };
   fold(result.grc(), /*grc=*/true);
   fold(result.ma(), /*grc=*/false);

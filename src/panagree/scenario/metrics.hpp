@@ -3,8 +3,11 @@
 // The sweep's canonical per-source result is the pair of §VI length-3 path
 // sets (GRC and MA) enumerated over the overlaid topology - the same
 // policies diversity::Length3Analyzer runs on the base snapshot, consulted
-// through the Overlay. MetricsAggregator folds a scenario's per-source
-// results into operator-facing aggregates:
+// through the Overlay - held as a SourcePathSet: the source once, one
+// {mid, end} run per (source, mid) hop, one u32 destination per path.
+// MetricsAggregator folds a scenario's per-source results into
+// operator-facing aggregates, walking each set's hop runs so the s-m link
+// and its facility legs are looked up once per run:
 //
 //   * path diversity - total GRC/MA path counts and reachable (src, dst)
 //     pairs (diversity/ semantics);
@@ -29,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <vector>
@@ -36,7 +40,6 @@
 #include "panagree/diversity/geodistance.hpp"
 #include "panagree/diversity/length3.hpp"
 #include "panagree/econ/business.hpp"
-#include "panagree/paths/path_pool.hpp"
 #include "panagree/scenario/overlay.hpp"
 
 namespace panagree::scenario {
@@ -45,37 +48,171 @@ namespace panagree::scenario {
 /// the source plus every MA-only path, in engine enumeration order (so
 /// equality is byte-equality of a full recompute).
 ///
-/// Storage is interned: both sets live in one paths::BasicPathPool arena
-/// (GRC paths first, then MA), and grc()/ma() are offset-based slices of
-/// that single contiguous buffer. SweepRunner caches one of these per
-/// source, so the hot incremental-sweep path holds exactly one heap block
-/// per cached source instead of the old vector-of-vector pair.
+/// Storage is run-length over hops: the source once, one Run {mid, end}
+/// per (source, mid) hop, and one u32 destination per path - 4 bytes a
+/// path where a {src, mid, dst} triple costs 12. Enumeration emits a
+/// hop's paths as one run (~330 paths per hop on the 3000-AS fixture),
+/// but correctness does not depend on it: a run starts whenever the mid
+/// changes, and at the GRC/MA boundary. grc() and ma() are read-only
+/// ranges yielding diversity::Length3Path values. SweepRunner caches one
+/// of these per source, and every rebase and optimizer clone copies it.
 class SourcePathSet {
+  /// One hop: the set's destinations from the previous run's end up to
+  /// `end` all go through `mid`.
+  struct Run {
+    AsId mid = topology::kInvalidAs;
+    std::uint32_t end = 0;
+
+    friend bool operator==(const Run&, const Run&) = default;
+  };
+
  public:
-  /// Appends a GRC path. All GRC paths must be added before any MA path.
+  /// Read-only range over consecutive runs of one set (grc() or ma()).
+  /// Valid while the set is alive and unmodified.
+  class Paths {
+   public:
+    class iterator {
+     public:
+      using iterator_concept = std::forward_iterator_tag;
+      using iterator_category = std::input_iterator_tag;
+      using value_type = diversity::Length3Path;
+      using difference_type = std::ptrdiff_t;
+
+      iterator() = default;
+      [[nodiscard]] diversity::Length3Path operator*() const {
+        return {source_, run_->mid, dsts_[index_]};
+      }
+      iterator& operator++() {
+        if (++index_ == run_->end) {
+          ++run_;
+        }
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      /// Iterators of one range compare by position.
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.index_ == b.index_;
+      }
+
+     private:
+      friend class Paths;
+      iterator(AsId source, const Run* run, const AsId* dsts,
+               std::uint32_t index)
+          : source_(source), run_(run), dsts_(dsts), index_(index) {}
+
+      AsId source_ = topology::kInvalidAs;
+      const Run* run_ = nullptr;
+      const AsId* dsts_ = nullptr;
+      std::uint32_t index_ = 0;
+    };
+
+    [[nodiscard]] std::size_t size() const { return last_ - first_; }
+    [[nodiscard]] iterator begin() const {
+      return {source_, runs_.data(), dsts_, first_};
+    }
+    [[nodiscard]] iterator end() const {
+      return {source_, runs_.data() + runs_.size(), dsts_, last_};
+    }
+
+    /// Calls `fn(mid, dsts)` once per hop run, in order, with the run's
+    /// destinations as a span.
+    template <typename Fn>
+    void for_each_run(Fn&& fn) const {
+      std::uint32_t begin = first_;
+      for (const Run& run : runs_) {
+        fn(run.mid, std::span<const AsId>(dsts_ + begin, run.end - begin));
+        begin = run.end;
+      }
+    }
+
+   private:
+    friend class SourcePathSet;
+    Paths(AsId source, std::span<const Run> runs, const AsId* dsts,
+          std::uint32_t first, std::uint32_t last)
+        : source_(source),
+          runs_(runs),
+          dsts_(dsts),
+          first_(first),
+          last_(last) {}
+
+    AsId source_;
+    std::span<const Run> runs_;
+    const AsId* dsts_;
+    std::uint32_t first_;
+    std::uint32_t last_;
+  };
+
+  /// Appends a GRC path. All GRC paths must be added before any MA path,
+  /// and all paths of a set must share one source.
   void add_grc(const diversity::Length3Path& path) {
-    PANAGREE_ASSERT(grc_count_ == pool_.size());
-    pool_.push_back(path);
-    ++grc_count_;
+    PANAGREE_ASSERT(grc_runs_ == runs_.size());
+    append(path, /*new_run=*/false);
+    grc_runs_ = static_cast<std::uint32_t>(runs_.size());
   }
 
-  /// Appends an MA-only path.
-  void add_ma(const diversity::Length3Path& path) { pool_.push_back(path); }
-
-  [[nodiscard]] std::span<const diversity::Length3Path> grc() const {
-    return pool_.view({0, static_cast<std::uint32_t>(grc_count_)});
+  /// Appends an MA-only path. The first one opens a run even when it
+  /// repeats the last GRC mid.
+  void add_ma(const diversity::Length3Path& path) {
+    append(path, /*new_run=*/runs_.size() == grc_runs_);
   }
-  [[nodiscard]] std::span<const diversity::Length3Path> ma() const {
-    return pool_.view({grc_count_,
-                       static_cast<std::uint32_t>(pool_.size() - grc_count_)});
+
+  /// The set's source; kInvalidAs while the set is empty.
+  [[nodiscard]] AsId source() const { return source_; }
+
+  [[nodiscard]] Paths grc() const {
+    return {source_, std::span<const Run>(runs_).first(grc_runs_),
+            dsts_.data(), 0, grc_end()};
+  }
+  [[nodiscard]] Paths ma() const {
+    return {source_, std::span<const Run>(runs_).subspan(grc_runs_),
+            dsts_.data(), grc_end(),
+            static_cast<std::uint32_t>(dsts_.size())};
+  }
+
+  /// Heap bytes held, by capacity.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return runs_.capacity() * sizeof(Run) + dsts_.capacity() * sizeof(AsId);
+  }
+
+  /// Releases the arrays' growth slack (enumeration calls it, so cached
+  /// sets hold exact-size arrays).
+  void shrink_to_fit() {
+    runs_.shrink_to_fit();
+    dsts_.shrink_to_fit();
   }
 
   friend bool operator==(const SourcePathSet&,
                          const SourcePathSet&) = default;
 
  private:
-  paths::BasicPathPool<diversity::Length3Path> pool_;
-  std::size_t grc_count_ = 0;
+  void append(const diversity::Length3Path& path, bool new_run) {
+    if (runs_.empty()) {
+      source_ = path.src;
+    }
+    util::require(path.src == source_,
+                  "SourcePathSet: paths of one set must share a source");
+    util::require(dsts_.size() < std::numeric_limits<std::uint32_t>::max(),
+                  "SourcePathSet: too many paths for u32 run ends");
+    if (new_run || runs_.empty() || runs_.back().mid != path.mid) {
+      runs_.push_back({path.mid, 0});
+    }
+    dsts_.push_back(path.dst);
+    runs_.back().end = static_cast<std::uint32_t>(dsts_.size());
+  }
+
+  [[nodiscard]] std::uint32_t grc_end() const {
+    return grc_runs_ == 0 ? 0 : runs_[grc_runs_ - 1].end;
+  }
+
+  AsId source_ = topology::kInvalidAs;
+  /// runs_[0, grc_runs_) are GRC hops, the rest MA.
+  std::uint32_t grc_runs_ = 0;
+  std::vector<Run> runs_;
+  std::vector<AsId> dsts_;
 };
 
 /// Enumerates the §VI length-3 path sets of `src` over the overlaid

@@ -29,11 +29,13 @@
 // Results of sources outside the ball are assumed (and asserted by tests,
 // not at runtime) to equal their baseline values.
 //
-// The canonical Result (scenario::SourcePathSet) interns its path sets
-// into one paths::BasicPathPool arena per source, so the runner's cache
-// holds one contiguous slice pair per source rather than a vector of
-// vectors - at CAIDA-scale source counts the difference is the cache
-// fitting in memory at all.
+// The canonical Result (scenario::SourcePathSet) stores a source's path
+// sets run-length over hops - the source once, one {mid, end} run per
+// hop, one u32 destination per path - so the runner's cache holds two
+// flat arrays per source at ~4 bytes a path: 14.0 MB for the 3.64M paths
+// of 500 sources on the 3000-AS fixture, where {src, mid, dst} triples
+// took 41.6 MB. A copied runner (the serving engine's copy-on-rebase,
+// the optimizer's search states) copies all of it.
 //
 // Deployment *programs* (ordered step sequences, scenario::Program) ride
 // on the same machinery: rebase() folds a committed step into the cached
@@ -234,10 +236,14 @@ class SweepRunner {
     const Delta composed = compose(state_, step);
     Overlay overlay(*base_);
     overlay.apply(composed);
+    // The whole list is checked before any slot moves: a rejected call
+    // leaves baseline() and state() as they were.
     for (std::size_t i = 0; i < positions.size(); ++i) {
       util::require(positions[i] < sources_.size() &&
                         (i == 0 || positions[i - 1] < positions[i]),
                     "SweepRunner::rebase_adopted: bad position list");
+    }
+    for (std::size_t i = 0; i < positions.size(); ++i) {
       cache_[positions[i]] = std::move(results[i]);
     }
     state_ = composed;

@@ -27,6 +27,8 @@ struct EngineMetrics {
   obs::Counter& rebases = reg.counter("engine.rebases");
   obs::Histogram& batch = reg.histogram("engine.whatif_batch");
   obs::Histogram& fold_ns = reg.histogram("engine.fold_ns");
+  /// Heap bytes, by capacity, of the current state's cached path sets.
+  obs::Gauge& path_cache_bytes = reg.gauge("engine.path_cache_bytes");
 };
 
 [[nodiscard]] EngineMetrics& engine_metrics() {
@@ -233,6 +235,15 @@ struct QueryEngine::State {
     engine_metrics().fold_ns.record(fold_ns);
     return fold_ns;
   }
+
+  /// Heap bytes, by capacity, of the cached path sets.
+  [[nodiscard]] std::int64_t path_cache_bytes() const {
+    std::size_t bytes = 0;
+    for (const scenario::SourcePathSet& sets : runner.baseline()) {
+      bytes += sets.heap_bytes();
+    }
+    return static_cast<std::int64_t>(bytes);
+  }
 };
 
 QueryEngine::QueryEngine(const topology::CompiledTopology& base,
@@ -270,6 +281,7 @@ PrimeTiming QueryEngine::prime() {
   state->runner.prime(enumerate);
   timing.enumerate_ns = steady_ns() - start;
   timing.fold_ns = state->refresh_contributions(aggregator_, config_);
+  engine_metrics().path_cache_bytes.set(state->path_cache_bytes());
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(state);
   return timing;
@@ -295,14 +307,23 @@ void QueryEngine::paths(AsId src, const PathsSink& sink) const {
   const auto it = source_index_.find(src);
   if (it != source_index_.end()) {
     engine_metrics().paths_cache_hits.increment();
-    const scenario::SourcePathSet& sets = state->runner.baseline()[it->second];
-    sink(sets.grc(), sets.ma());
+    sink(state->runner.baseline()[it->second]);
     return;
   }
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
   engine_metrics().paths_cold.increment();
-  const scenario::SourcePathSet sets = enumerate(state->overlay, src);
-  sink(sets.grc(), sets.ma());
+  sink(enumerate(state->overlay, src));
+}
+
+void QueryEngine::paths(AsId src, const PathsSpanSink& sink) const {
+  paths(src, [&](const scenario::SourcePathSet& sets) {
+    std::vector<diversity::Length3Path> triples;
+    triples.reserve(sets.grc().size() + sets.ma().size());
+    triples.insert(triples.end(), sets.grc().begin(), sets.grc().end());
+    triples.insert(triples.end(), sets.ma().begin(), sets.ma().end());
+    const std::span<const diversity::Length3Path> all(triples);
+    sink(all.first(sets.grc().size()), all.subspan(sets.grc().size()));
+  });
 }
 
 DiversityResult QueryEngine::diversity(AsId src) const {
@@ -431,6 +452,7 @@ std::uint64_t QueryEngine::rebase(const scenario::Delta& step) {
   next->overlay.clear();
   next->overlay.apply(next->runner.state());
   next->refresh_contributions(aggregator_, config_);
+  engine_metrics().path_cache_bytes.set(next->path_cache_bytes());
   std::uint64_t epoch = 0;
   {
     const std::unique_lock<std::shared_mutex> lock(state_mutex_);
@@ -475,19 +497,16 @@ void QueryEngine::handle_line(std::string_view line, std::string& out,
         st.work = source_index_.contains(request.source)
                       ? EngineWork::kCache
                       : EngineWork::kSweep;
-        // Serialization happens inside the engine sink (the spans are
-        // only valid during the call), so it is measured directly and
+        // Serialization happens inside the engine sink (the set is only
+        // valid during the call), so it is measured directly and
         // subtracted from the surrounding interval: engine + serialize
         // covers [parse end, response done) exactly.
         std::uint64_t serialize_ns = 0;
-        paths(request.source,
-              [&](std::span<const diversity::Length3Path> grc,
-                  std::span<const diversity::Length3Path> ma) {
-                const std::uint64_t serialize_start = stage_now_ns();
-                append_paths_response(out, request.id, request.source, grc,
-                                      ma);
-                serialize_ns = stage_now_ns() - serialize_start;
-              });
+        paths(request.source, [&](const scenario::SourcePathSet& sets) {
+          const std::uint64_t serialize_start = stage_now_ns();
+          append_paths_response(out, request.id, request.source, sets);
+          serialize_ns = stage_now_ns() - serialize_start;
+        });
         const std::uint64_t done_ns = stage_now_ns();
         st.serialize_ns = serialize_ns;
         st.engine_ns = done_ns - parsed_ns - serialize_ns;

@@ -7,8 +7,9 @@
 // kinds out of it:
 //
 //   * paths      - the §VI GRC + MA length-3 path sets of a source.
-//                  Sampled sources are served zero-copy out of the
-//                  runner's PathPool-backed per-source cache; other
+//                  Sampled sources are served zero-copy: the runner's
+//                  cached scenario::SourcePathSet goes to the sink and
+//                  is serialized straight out of its hop runs; other
 //                  sources are enumerated on the fly (cold).
 //   * diversity  - the per-source diversity / geodistance / fee
 //                  aggregate (scenario::SourceContribution, finalized).
@@ -194,14 +195,20 @@ class QueryEngine {
   /// Aggregate metrics of the current state over the sampled sources.
   [[nodiscard]] scenario::ScenarioMetrics state_metrics() const;
 
-  /// Serves the GRC + MA path sets of `src` to `sink`. The spans are
-  /// valid only during the call (they point into the engine's cache for
-  /// sampled sources, into a local enumeration otherwise). Throws
-  /// util::PreconditionError for out-of-range sources.
-  using PathsSink =
+  /// Serves the GRC + MA path sets of `src` to `sink`. The set is valid
+  /// only during the call (the engine's cached set for sampled sources,
+  /// a local enumeration otherwise). Throws util::PreconditionError for
+  /// out-of-range sources.
+  using PathsSink = std::function<void(const scenario::SourcePathSet&)>;
+  void paths(AsId src, const PathsSink& sink) const;
+
+  /// perfbench's binding (its layer replay): paths() with the sets
+  /// copied out into {src, mid, dst} triples on every call, kept until
+  /// perfbench calls the set-sink overload above. Serve through that one.
+  using PathsSpanSink =
       std::function<void(std::span<const diversity::Length3Path> grc,
                          std::span<const diversity::Length3Path> ma)>;
-  void paths(AsId src, const PathsSink& sink) const;
+  void paths(AsId src, const PathsSpanSink& sink) const;
 
   /// Per-source diversity / geodistance / fee aggregate of `src` under
   /// the current state.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "panagree/scenario/metrics.hpp"
 #include "panagree/util/json.hpp"
 
 namespace panagree::serve {
@@ -172,11 +173,13 @@ void append_int(std::string& out, std::int64_t value) {
   out.append(buffer, ptr);
 }
 
-void append_path_array(std::string& out,
-                       std::span<const diversity::Length3Path> paths) {
+/// The one path-array writer, over any range of Length3Path values (a
+/// cached set's grc()/ma() or a span of triples).
+template <typename Paths>
+void append_path_array(std::string& out, const Paths& paths) {
   out.push_back('[');
   bool first = true;
-  for (const diversity::Length3Path& path : paths) {
+  for (const diversity::Length3Path path : paths) {
     if (!first) {
       out.push_back(',');
     }
@@ -198,6 +201,19 @@ void append_response_head(std::string& out, std::uint64_t id, bool ok) {
   out += ",\"id\":";
   append_uint(out, id);
   out += ok ? ",\"ok\":true" : ",\"ok\":false";
+}
+
+template <typename Paths>
+void append_paths_body(std::string& out, std::uint64_t id, AsId source,
+                       const Paths& grc, const Paths& ma) {
+  append_response_head(out, id, true);
+  out += ",\"kind\":\"paths\",\"source\":";
+  append_uint(out, source);
+  out += ",\"grc\":";
+  append_path_array(out, grc);
+  out += ",\"ma\":";
+  append_path_array(out, ma);
+  out += "}\n";
 }
 
 /// Slow-query kind names, indexed by code (0-5 mirror RequestKind).
@@ -305,16 +321,14 @@ void append_json_string(std::string& out, std::string_view value) {
 }
 
 void append_paths_response(std::string& out, std::uint64_t id, AsId source,
+                           const scenario::SourcePathSet& sets) {
+  append_paths_body(out, id, source, sets.grc(), sets.ma());
+}
+
+void append_paths_response(std::string& out, std::uint64_t id, AsId source,
                            std::span<const diversity::Length3Path> grc,
                            std::span<const diversity::Length3Path> ma) {
-  append_response_head(out, id, true);
-  out += ",\"kind\":\"paths\",\"source\":";
-  append_uint(out, source);
-  out += ",\"grc\":";
-  append_path_array(out, grc);
-  out += ",\"ma\":";
-  append_path_array(out, ma);
-  out += "}\n";
+  append_paths_body(out, id, source, grc, ma);
 }
 
 void append_diversity_response(std::string& out, std::uint64_t id,

@@ -68,6 +68,10 @@
 #include "panagree/scenario/overlay.hpp"
 #include "panagree/util/error.hpp"
 
+namespace panagree::scenario {
+class SourcePathSet;
+}  // namespace panagree::scenario
+
 namespace panagree::serve {
 
 using topology::AsId;
@@ -159,6 +163,12 @@ struct WhatIfResult {
 // Response writers: each appends exactly one newline-terminated JSON
 // object to `out`. Field order and number formatting are part of the
 // protocol (byte-identity contract, see the header comment).
+/// Writes the GRC and MA paths of `sets` as [[s,m,d],...] arrays,
+/// straight out of the set (the engine's cached one for sampled sources).
+void append_paths_response(std::string& out, std::uint64_t id, AsId source,
+                           const scenario::SourcePathSet& sets);
+/// perfbench's binding (its layer replay): the same bytes from triples,
+/// kept until perfbench calls the set overload above.
 void append_paths_response(std::string& out, std::uint64_t id, AsId source,
                            std::span<const diversity::Length3Path> grc,
                            std::span<const diversity::Length3Path> ma);

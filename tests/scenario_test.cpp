@@ -9,7 +9,9 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "panagree/diversity/geodistance.hpp"
@@ -399,6 +401,73 @@ TEST(SweepRunner, RequiresPriming) {
                                  return enumerate_length3(overlay, src);
                                }),
                util::PreconditionError);
+}
+
+/// rebase_adopted checks the whole position list before it touches the
+/// cache: a rejected list leaves baseline() and state() as they were.
+TEST(SweepRunner, RebaseAdoptedRejectsBadPositionsWithoutSideEffects) {
+  const auto topo = sweep_topology();
+  const CompiledTopology compiled(topo.graph);
+  std::vector<AsId> sources;
+  for (AsId as = 0; as < topo.graph.num_ases(); as += 7) {
+    sources.push_back(as);
+  }
+  const auto enumerate = [](const Overlay& overlay, AsId src) {
+    return enumerate_length3(overlay, src);
+  };
+  SweepConfig config;
+  config.dirty_radius = kLength3DirtyRadius;
+  SweepRunner<SourcePathSet> runner(compiled, sources, config);
+  runner.prime(enumerate);
+  util::Rng rng(11);
+  const auto deltas = random_deltas(topo.graph, 2, rng);
+  runner.rebase(deltas[0], enumerate);
+  const std::vector<SourcePathSet> baseline = runner.baseline();
+  const Delta state = runner.state();
+  // Non-empty sets in the slots a half-applied call would overwrite.
+  ASSERT_NE(baseline[0], SourcePathSet{});
+  ASSERT_NE(baseline[1], SourcePathSet{});
+
+  const std::size_t duplicate[] = {1, 1};
+  const std::size_t out_of_range[] = {0, runner.sources().size()};
+  for (const std::span<const std::size_t> positions :
+       {std::span<const std::size_t>(duplicate),
+        std::span<const std::size_t>(out_of_range)}) {
+    std::vector<SourcePathSet> results(2);
+    EXPECT_THROW(
+        runner.rebase_adopted(deltas[1], positions, std::move(results)),
+        util::PreconditionError);
+    EXPECT_TRUE(runner.baseline() == baseline);
+    EXPECT_EQ(runner.state().add, state.add);
+    EXPECT_EQ(runner.state().remove, state.remove);
+  }
+}
+
+/// A set's hop runs break wherever the mid changes and at the GRC/MA
+/// boundary, and every path of a set shares its source.
+TEST(SourcePathSet, RunsBreakAtMidChangesAndTheGrcMaBoundary) {
+  SourcePathSet set;
+  EXPECT_EQ(set.source(), topology::kInvalidAs);
+  set.add_grc({5, 1, 2});
+  set.add_grc({5, 1, 3});
+  set.add_grc({5, 4, 6});
+  set.add_grc({5, 1, 7});
+  set.add_ma({5, 1, 8});
+  set.add_ma({5, 1, 9});
+  EXPECT_EQ(set.source(), 5u);
+  EXPECT_EQ(set.grc().size(), 4u);
+  EXPECT_EQ(set.ma().size(), 2u);
+  const auto runs_of = [](const SourcePathSet::Paths& paths) {
+    std::vector<std::pair<AsId, std::vector<AsId>>> runs;
+    paths.for_each_run([&](AsId mid, std::span<const AsId> dsts) {
+      runs.emplace_back(mid, std::vector<AsId>(dsts.begin(), dsts.end()));
+    });
+    return runs;
+  };
+  using Runs = std::vector<std::pair<AsId, std::vector<AsId>>>;
+  EXPECT_EQ(runs_of(set.grc()), (Runs{{1, {2, 3}}, {4, {6}}, {1, {7}}}));
+  EXPECT_EQ(runs_of(set.ma()), (Runs{{1, {8, 9}}}));
+  EXPECT_THROW(set.add_ma({6, 1, 2}), util::PreconditionError);
 }
 
 TEST(InvalidationBall, GrowsWithRadiusAndCoversEndpoints) {

@@ -100,6 +100,49 @@ TEST(Wire, ResponsesAreSingleTerminatedLines) {
             "\"error\":\"bad \\\"quote\\\"\\n\"}\n");
 }
 
+/// The paths response bytes, pinned as literals for hand-built sets whose
+/// hop runs break in every way the run-length storage must survive.
+TEST(Wire, PathsResponseBytesArePinned) {
+  const auto response = [](AsId source, const scenario::SourcePathSet& sets) {
+    std::string out;
+    append_paths_response(out, 7, source, sets);
+    return out;
+  };
+  // A mid that recurs non-adjacently (hop runs 1, 30, 1).
+  scenario::SourcePathSet recurring;
+  recurring.add_grc({4200, 1, 2});
+  recurring.add_grc({4200, 1, 65001});
+  recurring.add_grc({4200, 30, 4});
+  recurring.add_grc({4200, 1, 9});
+  recurring.add_ma({4200, 30, 6});
+  EXPECT_EQ(response(4200, recurring),
+            "{\"v\":1,\"id\":7,\"ok\":true,\"kind\":\"paths\","
+            "\"source\":4200,\"grc\":[[4200,1,2],[4200,1,65001],"
+            "[4200,30,4],[4200,1,9]],\"ma\":[[4200,30,6]]}\n");
+  // The last GRC mid is the first MA mid.
+  scenario::SourcePathSet boundary;
+  boundary.add_grc({0, 8, 2});
+  boundary.add_grc({0, 11, 7});
+  boundary.add_ma({0, 11, 12});
+  boundary.add_ma({0, 11, 3});
+  boundary.add_ma({0, 5, 1});
+  EXPECT_EQ(response(0, boundary),
+            "{\"v\":1,\"id\":7,\"ok\":true,\"kind\":\"paths\","
+            "\"source\":0,\"grc\":[[0,8,2],[0,11,7]],"
+            "\"ma\":[[0,11,12],[0,11,3],[0,5,1]]}\n");
+  // An empty GRC set.
+  scenario::SourcePathSet ma_only;
+  ma_only.add_ma({17, 2, 3});
+  ma_only.add_ma({17, 4, 1});
+  EXPECT_EQ(response(17, ma_only),
+            "{\"v\":1,\"id\":7,\"ok\":true,\"kind\":\"paths\","
+            "\"source\":17,\"grc\":[],\"ma\":[[17,2,3],[17,4,1]]}\n");
+  // An empty set.
+  EXPECT_EQ(response(99, scenario::SourcePathSet{}),
+            "{\"v\":1,\"id\":7,\"ok\":true,\"kind\":\"paths\","
+            "\"source\":99,\"grc\":[],\"ma\":[]}\n");
+}
+
 TEST(Wire, ParsesStatsRequest) {
   const Request request =
       parse_request(R"({"v":1,"id":11,"kind":"stats"})");
@@ -315,17 +358,26 @@ TEST(QueryEngine, CachedAndColdPathsMatchDirectEnumeration) {
   for (const AsId src : probes) {
     const scenario::SourcePathSet expected = direct_enumeration(f, src);
     bool visited = false;
-    engine->paths(src, [&](std::span<const diversity::Length3Path> grc,
-                           std::span<const diversity::Length3Path> ma) {
+    std::string served;
+    engine->paths(src, [&](const scenario::SourcePathSet& sets) {
       visited = true;
-      ASSERT_TRUE(std::ranges::equal(grc, expected.grc()));
-      ASSERT_TRUE(std::ranges::equal(ma, expected.ma()));
+      EXPECT_EQ(sets, expected);
+      append_paths_response(served, 1, src, sets);
     });
     EXPECT_TRUE(visited);
+    // perfbench's triple-copying binding serves the same paths and bytes.
+    std::string copied;
+    engine->paths(src, [&](std::span<const diversity::Length3Path> grc,
+                           std::span<const diversity::Length3Path> ma) {
+      EXPECT_TRUE(std::ranges::equal(grc, expected.grc()));
+      EXPECT_TRUE(std::ranges::equal(ma, expected.ma()));
+      append_paths_response(copied, 1, src, grc, ma);
+    });
+    EXPECT_EQ(copied, served);
   }
   EXPECT_THROW(
       engine->paths(static_cast<AsId>(f.topo_.graph.num_ases()),
-                    [](auto, auto) {}),
+                    [](const scenario::SourcePathSet&) {}),
       util::PreconditionError);
 }
 
@@ -435,14 +487,9 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
 
   // Cached paths now reflect the rebased state for every source.
   for (std::size_t i = 0; i < f.sources_.size(); ++i) {
-    engine->paths(f.sources_[i],
-                  [&](std::span<const diversity::Length3Path> grc,
-                      std::span<const diversity::Length3Path> ma) {
-                    ASSERT_TRUE(std::ranges::equal(
-                        grc, runner.baseline()[i].grc()));
-                    ASSERT_TRUE(
-                        std::ranges::equal(ma, runner.baseline()[i].ma()));
-                  });
+    engine->paths(f.sources_[i], [&](const scenario::SourcePathSet& sets) {
+      EXPECT_TRUE(sets == runner.baseline()[i]) << "source " << i;
+    });
   }
 
   // And whatif scores measure against the rebased state.
@@ -465,6 +512,59 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
 
 [[nodiscard]] bool same_bytes(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every `paths` response of the fixture (each sampled source and one
+/// cold source), folded into one FNV-1a-64 hash: the cache and the cold
+/// path must keep serving these exact bytes.
+TEST(QueryEngine, PathsResponsesArePinned) {
+  const ServeFixture& f = fixture();
+  const auto engine = f.make_engine();
+  std::vector<AsId> probes = f.sources_;
+  AsId cold = 0;
+  while (std::find(f.sources_.begin(), f.sources_.end(), cold) !=
+         f.sources_.end()) {
+    ++cold;
+  }
+  probes.push_back(cold);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::size_t bytes = 0;
+  for (const AsId src : probes) {
+    std::string out;
+    engine->handle_line(R"({"v":1,"id":)" + std::to_string(src) +
+                            R"(,"kind":"paths","source":)" +
+                            std::to_string(src) + "}",
+                        out);
+    for (const char c : out) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    bytes += out.size();
+  }
+  EXPECT_EQ(bytes, 273741u);
+  EXPECT_EQ(hash, 0x4cb6e23e6038498full);
+}
+
+/// engine.path_cache_bytes reports the heap the cached sets hold, by
+/// capacity - under the 12 bytes a path of {src, mid, dst} triples.
+TEST(QueryEngine, PathCacheGaugeCountsCachedSetBytes) {
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "gauges compile out under PANAGREE_OBS_OFF";
+  }
+  const ServeFixture& f = fixture();
+  const auto engine = f.make_engine();
+  const std::int64_t gauge =
+      obs::Registry::global().gauge("engine.path_cache_bytes").value();
+  std::size_t bytes = 0;
+  std::size_t paths = 0;
+  for (const AsId src : f.sources_) {
+    engine->paths(src, [&](const scenario::SourcePathSet& sets) {
+      bytes += sets.heap_bytes();
+      paths += sets.grc().size() + sets.ma().size();
+    });
+  }
+  EXPECT_EQ(gauge, static_cast<std::int64_t>(bytes));
+  EXPECT_GT(paths, 0u);
+  EXPECT_LT(bytes, 12 * paths);
 }
 
 /// The fixture's served numbers, pinned as hex-float literals: any

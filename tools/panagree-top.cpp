@@ -11,7 +11,8 @@
 //     histograms (nearest-rank over the log2 buckets - upper bounds,
 //     the same estimator as the Prometheus exposition);
 //   * queue depth and its high-water mark, cache hit rates (paths
-//     cache vs cold, whatif memo sharing), uptime and peak RSS;
+//     cache vs cold, whatif memo sharing), uptime, peak RSS and the
+//     share of it the cached path sets hold (engine.path_cache_bytes);
 //   * the slow-query table: the server's slow-query ring, slowest
 //     first, with the per-stage nanosecond breakdown of each entry.
 //
@@ -153,10 +154,13 @@ void render_frame(const Frame& frame, const Frame* previous,
   }
 
   std::printf("panagree-top  build %s  epoch %" PRIu64
-              "  uptime %" PRId64 "s  peak rss %" PRId64 " MB\n",
+              "  uptime %" PRId64 "s  peak rss %" PRId64
+              " MB  path cache %.1f MB\n",
               frame.stats.build.c_str(), frame.stats.epoch,
               find_gauge(snap, "process.uptime_s"),
-              find_gauge(snap, "process.peak_rss_kb") / 1024);
+              find_gauge(snap, "process.peak_rss_kb") / 1024,
+              static_cast<double>(find_gauge(snap, "engine.path_cache_bytes")) /
+                  (1024.0 * 1024.0));
   std::printf("qps %.1f  requests %" PRIu64 "  queue depth %" PRId64
               " (hwm %" PRId64 ")\n\n",
               qps, total, find_gauge(snap, "server.queue_depth"),
