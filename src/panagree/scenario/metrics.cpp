@@ -11,6 +11,20 @@
 
 namespace panagree::scenario {
 
+namespace {
+
+/// path_fee of one unit over `link` (a topology::Link or a LinkChange):
+/// the economy's price of its (provider, customer) pair for a
+/// provider-customer link, 0 for a peering or without an economy.
+template <typename Link>
+double unit_price(const econ::Economy* economy, const Link& link) {
+  return economy != nullptr && link.type == LinkType::kProviderCustomer
+             ? economy->link_pricing(link.a, link.b)(1.0)
+             : 0.0;
+}
+
+}  // namespace
+
 SourcePathSet enumerate_length3(const Overlay& overlay, AsId src) {
   const paths::BasicPathEnumerator<Overlay> enumerator(overlay);
   SourcePathSet out;
@@ -115,10 +129,13 @@ MetricsAggregator::MetricsAggregator(const CompiledTopology& base,
   }
   // Estimated facilities of added links must not out-minimize real ones:
   // cap at the densest base link (falling back to the generator default
-  // when the base graph stores no facilities at all).
+  // when the base graph stores no facilities at all). The same pass prices
+  // one unit over every base link, as path_fee would.
   std::size_t max_stored = 0;
+  unit_fees_.reserve(base.graph().links().size());
   for (const topology::Link& link : base.graph().links()) {
     max_stored = std::max(max_stored, link.facilities.size());
+    unit_fees_.push_back(unit_price(economy_, link));
   }
   if (max_stored > 0) {
     max_estimated_facilities_ = max_stored;
@@ -194,10 +211,21 @@ double MetricsAggregator::path_km(const Overlay& overlay,
   return geodesy_->path_geodistance_km(head, tail);
 }
 
+double MetricsAggregator::unit_fee(const Overlay& overlay,
+                                   std::uint32_t link) const {
+  if (link < overlay.first_added_link_id()) {
+    return unit_fees_[link];
+  }
+  return unit_price(economy_, overlay.added_link(link));
+}
+
 double MetricsAggregator::path_fee(const Overlay& overlay,
                                    std::span<const AsId> path,
                                    double volume) const {
   double fee = 0.0;
+  if (economy_ == nullptr) {
+    return fee;
+  }
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const std::optional<NeighborRole> role =
         overlay.role_of(path[i], path[i + 1]);
@@ -229,6 +257,8 @@ SourceContribution MetricsAggregator::contribution(
   if (scratch.slots_.size() != n) {
     scratch.slots_.assign(n, Scratch::Best{});
     scratch.live_.assign((n + 63) / 64, 0);
+    scratch.link_of_.assign(n, Scratch::LinkOf{});
+    scratch.run_stamp_ = 0;
   } else {
     std::fill(scratch.live_.begin(), scratch.live_.end(), 0);
   }
@@ -239,16 +269,18 @@ SourceContribution MetricsAggregator::contribution(
   using Best = Scratch::Best;
   Best* const slots = scratch.slots_.data();
   std::uint64_t* const live = scratch.live_.data();
-  const auto consider = [&](const diversity::Length3Path& p, bool grc,
-                            bool has_km, double km) {
-    Best& slot = slots[p.dst];
-    std::uint64_t& word = live[p.dst / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (p.dst % 64);
+  Scratch::LinkOf* const link_of = scratch.link_of_.data();
+  const auto consider = [&](AsId dst, std::uint32_t l1, std::uint32_t l2,
+                            bool grc, bool has_km, double km) {
+    Best& slot = slots[dst];
+    std::uint64_t& word = live[dst / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (dst % 64);
     // Without geodata the first-enumerated path wins (deterministic);
     // with it, the strictly shortest one.
     if ((word & bit) == 0) {
       word |= bit;
-      slot.path = p;
+      slot.l1 = l1;
+      slot.l2 = l2;
       slot.km = has_km ? km : std::numeric_limits<double>::infinity();
       slot.has_km = has_km;
       slot.grc_reachable = grc;
@@ -256,37 +288,51 @@ SourceContribution MetricsAggregator::contribution(
     }
     slot.grc_reachable = slot.grc_reachable || grc;
     if (has_km && km < slot.km) {
-      slot.path = p;
+      slot.l1 = l1;
+      slot.l2 = l2;
       slot.km = km;
       slot.has_km = true;
     }
   };
-  // The s-m link and its legs are looked up once per hop run; each path
-  // then costs one m-d link lookup and a table-driven facility minimum.
+  // Per hop run, the mid's overlaid row is scattered into link_of once
+  // (the row holds exactly the links link_between resolves: added ones
+  // included, removed ones absent), so the s-m link and each path's m-d
+  // link are one stamped load; the s-m legs are looked up once per run
+  // and each path's geodistance is a table-driven facility minimum.
   const AsId src = result.source();
   const auto fold = [&](const SourcePathSet::Paths& paths, bool grc) {
     paths.for_each_run([&](AsId mid, std::span<const AsId> dsts) {
+      if (++scratch.run_stamp_ == 0) {
+        std::fill(scratch.link_of_.begin(), scratch.link_of_.end(),
+                  Scratch::LinkOf{});
+        scratch.run_stamp_ = 1;
+      }
+      const std::uint32_t stamp = scratch.run_stamp_;
+      overlay.for_each_entry(mid, [&](const Overlay::Entry& entry) {
+        link_of[entry.neighbor] = {stamp, entry.link};
+      });
+      const auto link_to = [&](AsId as) {
+        const Scratch::LinkOf slot = link_of[as];
+        util::require(slot.stamp == stamp,
+                      "MetricsAggregator::contribution: path hops must be "
+                      "linked");
+        return slot.link;
+      };
+      const std::uint32_t l1 = link_to(src);
       const bool run_geo = geodesy_.has_value() && has_geo_[src] != 0 &&
                            has_geo_[mid] != 0;
-      std::uint32_t l1 = 0;
       diversity::HopLegs head;
       if (run_geo) {
-        const auto link = overlay.link_between(src, mid);
-        util::require(link.has_value(),
-                      "path_geodistance_km: path hops must be linked");
-        l1 = *link;
         head = hop_legs(overlay, l1, src, scratch);
       }
       for (const AsId dst : dsts) {
-        const diversity::Length3Path p{src, mid, dst};
+        const std::uint32_t l2 = link_to(dst);
         if (!run_geo || has_geo_[dst] == 0) {
-          consider(p, grc, false, 0.0);
+          consider(dst, l1, l2, grc, false, 0.0);
           continue;
         }
-        const auto l2 = overlay.link_between(mid, dst);
-        util::require(l2.has_value(),
-                      "path_geodistance_km: path hops must be linked");
-        consider(p, grc, true, path_km(overlay, p, l1, head, *l2, scratch));
+        consider(dst, l1, l2, grc, true,
+                 path_km(overlay, {src, mid, dst}, l1, head, l2, scratch));
       }
     });
   };
@@ -296,7 +342,8 @@ SourceContribution MetricsAggregator::contribution(
   // Fold in ascending destination order: the float sums must be a pure
   // function of (overlay, result), because the serving layer splices
   // independently computed contributions into cached ones (byte-identity
-  // contract).
+  // contract). Each best path's fee is path_fee(overlay, path, 1.0) to the
+  // bit: the same additions in hop order, where a peering hop adds +0.0.
   for (std::size_t w = 0; w < scratch.live_.size(); ++w) {
     for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
       const Best& slot = slots[w * 64 + std::countr_zero(bits)];
@@ -309,8 +356,10 @@ SourceContribution MetricsAggregator::contribution(
         out.km_sum += slot.km;
         ++out.km_pairs;
       }
-      const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
-      out.transit_fees += path_fee(overlay, hops, 1.0);
+      double fee = 0.0;
+      fee += unit_fee(overlay, slot.l1);
+      fee += unit_fee(overlay, slot.l2);
+      out.transit_fees += fee;
     }
   }
   return out;

@@ -6,8 +6,11 @@
 // through the Overlay - held as a SourcePathSet: the source once, one
 // {mid, end} run per (source, mid) hop, one u32 destination per path.
 // MetricsAggregator folds a scenario's per-source results into
-// operator-facing aggregates, walking each set's hop runs so the s-m link
-// and its facility legs are looked up once per run:
+// operator-facing aggregates, walking each set's hop runs: per run it
+// scatters the mid's overlaid adjacency row into a per-AS link-id array,
+// so the s-m link and every m-d link cost one load each and no path
+// searches an adjacency row; the s-m facility legs are looked up once per
+// run:
 //
 //   * path diversity - total GRC/MA path counts and reachable (src, dst)
 //     pairs (diversity/ semantics);
@@ -23,7 +26,13 @@
 //   * transit fees - unit demand per reachable pair routed over its best
 //     path, each provider-customer hop charged by econ::Economy. Per-unit
 //     evaluation is exact for the linear default economy; added links the
-//     economy does not know are settlement-free.
+//     economy does not know are settlement-free, and without an economy
+//     every hop is. Base links read a per-link unit-fee table; added links
+//     are priced on demand.
+//
+// The aggregator snapshots the base graph's geodata and the economy's
+// link prices at construction: changing either afterwards does not reach
+// an existing aggregator.
 //
 // Scenario ranking is the difference against the baseline aggregate
 // (subtract()), turned into a scalar by operator_utility().
@@ -352,9 +361,11 @@ struct UtilityWeights {
 class MetricsAggregator {
  public:
   /// `world` == nullptr disables the geodistance aggregate (and best paths
-  /// fall back to first-enumerated). All referenced objects must outlive
-  /// the aggregator, which snapshots the graph's geodata (AS centroids,
-  /// has_geo flags and link facilities) into its lookup tables.
+  /// fall back to first-enumerated); `economy` == nullptr makes every hop
+  /// settlement-free (transit fees read 0). All referenced objects must
+  /// outlive the aggregator, which snapshots the graph's geodata (AS
+  /// centroids, has_geo flags and link facilities) and the unit price of
+  /// every base provider-customer link into its lookup tables.
   MetricsAggregator(const CompiledTopology& base, const geo::World* world,
                     const econ::Economy* economy);
 
@@ -373,8 +384,9 @@ class MetricsAggregator {
 
   /// Reusable working memory of contribution(): dense per-AS best-path
   /// slots (with a bitmap of the live ones, folded in ascending
-  /// destination order) and the facility legs of overlay-added links,
-  /// memoized per added link. One Scratch serves any number of
+  /// destination order), the current hop run's scattered mid row (one
+  /// stamped link id per AS) and the facility legs of overlay-added
+  /// links, memoized per added link. One Scratch serves any number of
   /// contribution() calls, over any overlays (the memo is dropped when
   /// the overlay changes); give each concurrent caller its own.
   class Scratch {
@@ -383,11 +395,20 @@ class MetricsAggregator {
 
    private:
     friend class MetricsAggregator;
+    /// A destination's best path so far, as its two overlay link ids
+    /// (s-m, m-d): all the fee fold needs.
     struct Best {
-      diversity::Length3Path path;
+      std::uint32_t l1 = 0;
+      std::uint32_t l2 = 0;
       double km = std::numeric_limits<double>::infinity();
       bool has_km = false;
       bool grc_reachable = false;
+    };
+    /// The mid-x link id of the current run, valid iff `stamp` equals
+    /// run_stamp_.
+    struct LinkOf {
+      std::uint32_t stamp = 0;
+      std::uint32_t link = 0;
     };
     struct AddedLegs {
       LinkChange link;
@@ -398,6 +419,10 @@ class MetricsAggregator {
     /// iff bit d of live_ is set.
     std::vector<Best> slots_;
     std::vector<std::uint64_t> live_;
+    /// link_of_[x] holds the link from the current run's mid to x; each
+    /// run bumps run_stamp_ instead of clearing the array.
+    std::vector<LinkOf> link_of_;
+    std::uint32_t run_stamp_ = 0;
     /// Legs of overlay-added links, keyed by the link itself (so an entry
     /// can never describe another link). A deque: spans into the legs of
     /// one entry stay valid while later entries are appended.
@@ -431,8 +456,9 @@ class MetricsAggregator {
   /// under the overlay: every provider-customer hop is charged by the
   /// economy's pricing for that link, whichever direction the walk
   /// crosses it; peering and unknown (overlay-added) links are
-  /// settlement-free. The single fee convention shared by aggregate()
-  /// and the sweep benches.
+  /// settlement-free, and every hop is without an economy. The single fee
+  /// convention shared by aggregate() (which prices unit demand through
+  /// the per-link table, to the same doubles) and the sweep benches.
   [[nodiscard]] double path_fee(const Overlay& overlay,
                                 std::span<const AsId> path,
                                 double volume) const;
@@ -453,12 +479,23 @@ class MetricsAggregator {
                                const diversity::HopLegs& head,
                                std::uint32_t l2, Scratch& scratch) const;
 
+  /// path_fee of one unit over the overlay link `link`: the table entry
+  /// of a base link; an added provider-customer link is priced by the
+  /// economy for its (provider, customer) pair, so a base pair re-added
+  /// in the same direction keeps its price and any other added link is
+  /// settlement-free.
+  [[nodiscard]] double unit_fee(const Overlay& overlay,
+                                std::uint32_t link) const;
+
   const CompiledTopology* base_;
   const geo::World* world_;
   const econ::Economy* economy_;
   std::optional<diversity::GeodistanceModel> geodesy_;
   /// has_geo of every base AS, one byte each (the per-path check).
   std::vector<std::uint8_t> has_geo_;
+  /// Per base link: the economy's price of one unit over a
+  /// provider-customer link, 0 for peering links (and without an economy).
+  std::vector<double> unit_fees_;
   /// Facility-count cap for estimating overlay-added links: the maximum
   /// stored on any base link (so a what-if hop minimizes over no more
   /// facilities than its recompiled version would, whatever

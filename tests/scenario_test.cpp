@@ -668,6 +668,14 @@ class ReferenceFold {
       }
       const AsId hops[3] = {slot.path.src, slot.path.mid, slot.path.dst};
       out.transit_fees += aggregator_->path_fee(overlay, hops, 1.0);
+      for (std::size_t h = 0; h < 2; ++h) {
+        const std::span<const AsId> hop(hops + h, 2);
+        if (*overlay.link_between(hop[0], hop[1]) >=
+                overlay.first_added_link_id() &&
+            aggregator_->path_fee(overlay, hop, 1.0) != 0.0) {
+          ++priced_added_hops;
+        }
+      }
     }
     return out;
   }
@@ -676,6 +684,9 @@ class ReferenceFold {
   /// back to centroid legs - so a test can prove both branches ran.
   std::size_t added_hops = 0;
   std::size_t centroid_fallbacks = 0;
+  /// Best-path hops over an overlay-added link with a non-zero unit fee
+  /// (a base provider-customer pair re-added in the same direction).
+  std::size_t priced_added_hops = 0;
 
  private:
   std::optional<double> km_of(const Overlay& overlay,
@@ -741,8 +752,10 @@ void expect_bit_identical(const SourceContribution& actual,
 }
 
 /// A randomized what-if over `g`: added peerings (one from each of
-/// `stripped`, ASes without PoPs), removed links, and one
-/// provider->customer rewire of a base peering.
+/// `stripped`, ASes without PoPs), removed links, one provider->customer
+/// rewire of a base peering, and two base provider->customer links
+/// removed and re-added, one in the same direction (the economy still
+/// prices it) and one flipped (settlement-free).
 Delta random_rewire_delta(const Graph& g, const std::vector<AsId>& stripped,
                           util::Rng& rng) {
   Delta delta;
@@ -779,6 +792,21 @@ Delta random_rewire_delta(const Graph& g, const std::vector<AsId>& stripped,
       rewired = true;
     }
   }
+  for (const bool flipped : {false, true}) {
+    for (;;) {
+      const topology::Link& link = g.link(rng.uniform_index(g.num_links()));
+      if (link.type == LinkType::kProviderCustomer &&
+          fresh(link.a, link.b)) {
+        delta.remove.emplace_back(link.a, link.b);
+        delta.add.push_back(flipped ? LinkChange{link.b, link.a,
+                                                 LinkType::kProviderCustomer}
+                                    : LinkChange{link.a, link.b,
+                                                 LinkType::kProviderCustomer});
+        used.emplace_back(link.a, link.b);
+        break;
+      }
+    }
+  }
   for (int removed = 0; removed < 2;) {
     const topology::Link& link = g.link(rng.uniform_index(g.num_links()));
     if (fresh(link.a, link.b)) {
@@ -791,10 +819,11 @@ Delta random_rewire_delta(const Graph& g, const std::vector<AsId>& stripped,
 }
 
 /// The kernel's bit-identity contract: over randomized overlays (added
-/// peerings, removals, a provider->customer rewire), with and without
-/// geodata, every source's contribution equals the trig reference byte
-/// for byte - through one Scratch reused across sources and overlays and
-/// through a fresh one per call.
+/// peerings, removals, provider->customer rewires), with and without
+/// geodata and with and without an economy, every source's contribution
+/// equals the trig reference byte for byte - through one Scratch reused
+/// across sources and overlays and through a fresh one per call. Without
+/// an economy every hop is settlement-free.
 TEST(Metrics, ContributionIsBitIdenticalToTheTrigReference) {
   topology::GeneratedTopology topo = topology::generate_internet([] {
     topology::GeneratorParams params;
@@ -820,36 +849,88 @@ TEST(Metrics, ContributionIsBitIdenticalToTheTrigReference) {
   }
 
   const std::vector<const geo::World*> worlds{&topo.world, nullptr};
+  const std::vector<const econ::Economy*> economies{&economy, nullptr};
+  for (const geo::World* world : worlds) {
+    for (const econ::Economy* prices : economies) {
+      const MetricsAggregator aggregator(compiled, world, prices);
+      ReferenceFold reference(compiled, world, aggregator);
+      MetricsAggregator::Scratch shared;
+      for (std::size_t d = 0; d < deltas.size(); ++d) {
+        Overlay overlay(compiled);
+        overlay.apply(deltas[d]);
+        std::vector<AsId> sources = overlay.touched();
+        for (AsId as = 0; as < g.num_ases(); as += 6) {
+          sources.push_back(as);
+        }
+        for (const AsId src : sources) {
+          const SourcePathSet sets = enumerate_length3(overlay, src);
+          const SourceContribution expected =
+              reference.contribution(overlay, sets);
+          const std::string where =
+              std::string(world ? "geo" : "no-geo") +
+              (prices ? "" : " no-economy") + " delta " + std::to_string(d) +
+              " source " + std::to_string(src);
+          const SourceContribution actual =
+              aggregator.contribution(overlay, sets, shared);
+          expect_bit_identical(actual, expected, where);
+          expect_bit_identical(aggregator.contribution(overlay, sets),
+                               expected, where + " (fresh scratch)");
+          if (prices == nullptr) {
+            EXPECT_TRUE(same_bytes(actual.transit_fees, 0.0)) << where;
+          }
+        }
+      }
+      if (world != nullptr) {
+        EXPECT_GT(reference.added_hops, 0u);
+        EXPECT_GT(reference.centroid_fallbacks, 0u);
+      } else {
+        EXPECT_EQ(reference.added_hops, 0u);
+      }
+      if (prices != nullptr) {
+        EXPECT_GT(reference.priced_added_hops, 0u);
+      } else {
+        EXPECT_EQ(reference.priced_added_hops, 0u);
+      }
+    }
+  }
+}
+
+/// A path whose m-d hop is not a link is a caller error, raised by the
+/// kernel itself whether or not the path is priced by geodistance.
+TEST(Metrics, ContributionRejectsUnlinkedHops) {
+  const auto topo = topology::generate_internet([] {
+    topology::GeneratorParams params;
+    params.num_ases = 80;
+    params.tier1_count = 4;
+    params.seed = 5;
+    return params;
+  }());
+  const Graph& g = topo.graph;
+  const CompiledTopology compiled(g);
+  const econ::Economy economy = econ::make_default_economy(g);
+  const Overlay overlay(compiled);
+
+  // s - m is a link, m - d is not.
+  const AsId s = 0;
+  const AsId m = compiled.entries(s).front().neighbor;
+  AsId d = topology::kInvalidAs;
+  for (AsId as = 0; as < g.num_ases(); ++as) {
+    if (as != s && as != m && !g.link_between(m, as).has_value()) {
+      d = as;
+      break;
+    }
+  }
+  ASSERT_NE(d, topology::kInvalidAs);
+  ASSERT_TRUE(g.info(s).has_geo && g.info(m).has_geo && g.info(d).has_geo);
+  SourcePathSet sets;
+  sets.add_grc({s, m, d});
+
+  const std::vector<const geo::World*> worlds{&topo.world, nullptr};
   for (const geo::World* world : worlds) {
     const MetricsAggregator aggregator(compiled, world, &economy);
-    ReferenceFold reference(compiled, world, aggregator);
-    MetricsAggregator::Scratch shared;
-    for (std::size_t d = 0; d < deltas.size(); ++d) {
-      Overlay overlay(compiled);
-      overlay.apply(deltas[d]);
-      std::vector<AsId> sources = overlay.touched();
-      for (AsId as = 0; as < g.num_ases(); as += 6) {
-        sources.push_back(as);
-      }
-      for (const AsId src : sources) {
-        const SourcePathSet sets = enumerate_length3(overlay, src);
-        const SourceContribution expected =
-            reference.contribution(overlay, sets);
-        const std::string where = std::string(world ? "geo" : "no-geo") +
-                                  " delta " + std::to_string(d) +
-                                  " source " + std::to_string(src);
-        expect_bit_identical(aggregator.contribution(overlay, sets, shared),
-                             expected, where);
-        expect_bit_identical(aggregator.contribution(overlay, sets),
-                             expected, where + " (fresh scratch)");
-      }
-    }
-    if (world != nullptr) {
-      EXPECT_GT(reference.added_hops, 0u);
-      EXPECT_GT(reference.centroid_fallbacks, 0u);
-    } else {
-      EXPECT_EQ(reference.added_hops, 0u);
-    }
+    EXPECT_THROW((void)aggregator.contribution(overlay, sets),
+                 util::PreconditionError)
+        << (world ? "geo" : "no-geo");
   }
 }
 

@@ -7,8 +7,8 @@
 //
 // Cold start: prime() enumerates every sampled source, then folds their
 // per-source contributions in parallel over the engine threads (500
-// sources on the 3000-AS fixture at 2 threads: ~0.1 s of enumeration,
-// ~0.2 s of fold), so the context is serve-ready.
+// sources on the 3000-AS fixture at 2 threads: 80-100 ms of enumeration,
+// then 75-110 ms of fold), so the context is serve-ready.
 #pragma once
 
 #include <array>
