@@ -110,13 +110,15 @@ Delta as_failure_delta(const CompiledTopology& base, AsId as) {
   return delta;
 }
 
-FailureDiversity failure_diversity(SweepRunner<SourcePathSet>& runner,
+FailureDiversity failure_diversity(const SweepRunner<SourcePathSet>& runner,
                                    const Delta& deployment,
                                    std::span<const Delta> failures) {
   util::require(runner.primed(), "failure_diversity: prime the runner first");
-  const auto enumerate = [](const Overlay& overlay, AsId src) {
-    return enumerate_length3(overlay, src);
-  };
+  const std::size_t threads = runner.config().threads;
+  const std::vector<SourcePathSet>& cache = runner.baseline();
+  const SliceSum<DiversityCounts> state(paths::map_indices(
+      cache.size(), threads,
+      [&](std::size_t i) { return count_diversity(cache[i]); }));
   FailureDiversity out;
   out.sets = failures.size();
   double paths_sum = 0.0;
@@ -126,9 +128,15 @@ FailureDiversity failure_diversity(SweepRunner<SourcePathSet>& runner,
     const Delta delta = deployment.empty()
                             ? failures[i]
                             : compose(deployment, failures[i]);
-    const std::vector<const SourcePathSet*> results =
-        runner.evaluate_refs(delta, enumerate);
-    const DiversityCounts counts = count_diversity(results);
+    DirtySlice<DiversityCounts> dirty;
+    runner.evaluate_dirty_visit(
+        delta,
+        [](const Overlay& overlay, AsId src) {
+          return count_diversity(enumerate_length3(overlay, src));
+        },
+        dirty, threads);
+    const DiversityCounts counts =
+        state.spliced(dirty.positions, dirty.results);
     paths_sum += static_cast<double>(counts.total_paths());
     pairs_sum += static_cast<double>(counts.reachable_pairs());
     if (first || counts.total_paths() < out.min.total_paths()) {

@@ -50,14 +50,15 @@ struct FailureSets {
 
 /// Evaluates `deployment` under every failure set: each set is composed
 /// onto the deployment (deployment links stay up; the failed base links
-/// go down) and run through the runner's incremental evaluate, then the
-/// surviving §VI diversity counts fold into the min/mean headline.
+/// go down), and its dirty sources' counts (on the runner's threads) are
+/// spliced into the state's per-source counts, counted once per call;
+/// the surviving §VI diversity counts fold into the min/mean headline.
 /// `runner` must be primed; `deployment` must not remove links that
 /// appear in a failure set (deployments add links). Results are a pure
 /// function of (runner state, deployment, failures) - thread counts only
 /// change wall-clock time.
 [[nodiscard]] FailureDiversity failure_diversity(
-    SweepRunner<SourcePathSet>& runner, const Delta& deployment,
+    const SweepRunner<SourcePathSet>& runner, const Delta& deployment,
     std::span<const Delta> failures);
 
 }  // namespace panagree::scenario

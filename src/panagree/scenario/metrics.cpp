@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <mutex>
 #include <optional>
 
 #include "panagree/geo/coordinates.hpp"
@@ -22,6 +23,39 @@ double unit_price(const econ::Economy* economy, const Link& link) {
              ? economy->link_pricing(link.a, link.b)(1.0)
              : 0.0;
 }
+
+/// The Scratches of one parallel fold. A worker borrows one per source
+/// and hands it back, so a fan-out allocates at most one per worker (each
+/// holds a slot per AS), and all of them are freed with the pool.
+class ScratchPool {
+ public:
+  explicit ScratchPool(const MetricsAggregator& aggregator)
+      : aggregator_(&aggregator) {}
+
+  [[nodiscard]] SourceContribution contribution(const Overlay& overlay,
+                                                const SourcePathSet& result) {
+    MetricsAggregator::Scratch* scratch = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (idle_.empty()) {
+        idle_.push_back(&all_.emplace_back());
+      }
+      scratch = idle_.back();
+      idle_.pop_back();
+    }
+    const SourceContribution out =
+        aggregator_->contribution(overlay, result, *scratch);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(scratch);
+    return out;
+  }
+
+ private:
+  const MetricsAggregator* aggregator_;
+  std::mutex mutex_;
+  std::deque<MetricsAggregator::Scratch> all_;  // stable addresses
+  std::vector<MetricsAggregator::Scratch*> idle_;
+};
 
 }  // namespace
 
@@ -82,36 +116,37 @@ ScenarioMetrics finalize(const SourceContribution& total) {
   return metrics;
 }
 
+DiversityCounts count_diversity(const SourcePathSet& result) {
+  // The sorted-unique destination lists of the GRC set and the MA set
+  // decide pair membership.
+  const auto destinations = [](const SourcePathSet::Paths& paths) {
+    std::vector<AsId> dsts;
+    dsts.reserve(paths.size());
+    for (const diversity::Length3Path& path : paths) {
+      dsts.push_back(path.dst);
+    }
+    std::sort(dsts.begin(), dsts.end());
+    dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+    return dsts;
+  };
+  DiversityCounts out;
+  out.grc_paths = result.grc().size();
+  out.ma_paths = result.ma().size();
+  const std::vector<AsId> grc_dsts = destinations(result.grc());
+  out.grc_pairs = grc_dsts.size();
+  for (const AsId dst : destinations(result.ma())) {
+    if (!std::binary_search(grc_dsts.begin(), grc_dsts.end(), dst)) {
+      ++out.ma_extra_pairs;
+    }
+  }
+  return out;
+}
+
 DiversityCounts count_diversity(
     std::span<const SourcePathSet* const> results) {
   DiversityCounts out;
-  // Reused across sources: per source, the sorted-unique destination lists
-  // of the GRC set and the MA set decide pair membership.
-  std::vector<AsId> grc_dsts;
-  std::vector<AsId> ma_dsts;
   for (const SourcePathSet* result : results) {
-    out.grc_paths += result->grc().size();
-    out.ma_paths += result->ma().size();
-    grc_dsts.clear();
-    ma_dsts.clear();
-    for (const diversity::Length3Path& path : result->grc()) {
-      grc_dsts.push_back(path.dst);
-    }
-    for (const diversity::Length3Path& path : result->ma()) {
-      ma_dsts.push_back(path.dst);
-    }
-    std::sort(grc_dsts.begin(), grc_dsts.end());
-    grc_dsts.erase(std::unique(grc_dsts.begin(), grc_dsts.end()),
-                   grc_dsts.end());
-    std::sort(ma_dsts.begin(), ma_dsts.end());
-    ma_dsts.erase(std::unique(ma_dsts.begin(), ma_dsts.end()),
-                  ma_dsts.end());
-    out.grc_pairs += grc_dsts.size();
-    for (const AsId dst : ma_dsts) {
-      if (!std::binary_search(grc_dsts.begin(), grc_dsts.end(), dst)) {
-        ++out.ma_extra_pairs;
-      }
-    }
+    out += count_diversity(*result);
   }
   return out;
 }
@@ -367,26 +402,40 @@ SourceContribution MetricsAggregator::contribution(
 
 ScenarioMetrics MetricsAggregator::aggregate(
     const Overlay& overlay, const std::vector<AsId>& sources,
-    const std::vector<const SourcePathSet*>& results) const {
+    const std::vector<SourcePathSet>& results) const {
   util::require(sources.size() == results.size(),
                 "MetricsAggregator::aggregate: sources/results mismatch");
   Scratch scratch;
   SourceContribution total;
-  for (const SourcePathSet* result : results) {
-    total += contribution(overlay, *result, scratch);
+  for (const SourcePathSet& result : results) {
+    total += contribution(overlay, result, scratch);
   }
   return finalize(total);
 }
 
-ScenarioMetrics MetricsAggregator::aggregate(
-    const Overlay& overlay, const std::vector<AsId>& sources,
-    const std::vector<SourcePathSet>& results) const {
-  std::vector<const SourcePathSet*> refs;
-  refs.reserve(results.size());
-  for (const SourcePathSet& result : results) {
-    refs.push_back(&result);
-  }
-  return aggregate(overlay, sources, refs);
+SliceSum<SourceContribution> MetricsAggregator::contributions(
+    const Overlay& overlay, std::span<const SourcePathSet> results,
+    std::size_t threads) const {
+  ScratchPool pool(*this);
+  return SliceSum<SourceContribution>(
+      paths::map_indices(results.size(), threads, [&](std::size_t i) {
+        return pool.contribution(overlay, results[i]);
+      }));
+}
+
+SourceContribution MetricsAggregator::whatif_total(
+    const SweepRunner<SourcePathSet>& runner,
+    const SliceSum<SourceContribution>& state, const Delta& delta,
+    std::size_t threads, SweepStats* stats) const {
+  ScratchPool pool(*this);
+  DirtySlice<SourceContribution> dirty;
+  runner.evaluate_dirty_visit(
+      delta,
+      [&](const Overlay& overlay, AsId src) {
+        return pool.contribution(overlay, enumerate_length3(overlay, src));
+      },
+      dirty, threads, stats);
+  return state.spliced(dirty.positions, dirty.results);
 }
 
 }  // namespace panagree::scenario

@@ -36,6 +36,10 @@
 //
 // Scenario ranking is the difference against the baseline aggregate
 // (subtract()), turned into a scalar by operator_utility().
+//
+// Every scorer (the serving engine's what-ifs, the optimizer, the failure
+// sweep, panagree-sweep) keeps its state's per-source slices in a
+// SliceSum and splices in only the delta's dirty sources.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +54,7 @@
 #include "panagree/diversity/length3.hpp"
 #include "panagree/econ/business.hpp"
 #include "panagree/scenario/overlay.hpp"
+#include "panagree/scenario/sweep.hpp"
 
 namespace panagree::scenario {
 
@@ -243,10 +248,11 @@ inline constexpr std::size_t kLength3DirtyRadius = 1;
 
 /// The additive per-source slice of a scenario aggregate: ScenarioMetrics
 /// minus the final mean division, so contributions of individual sources
-/// can be cached, swapped, and re-summed without touching the others.
-/// This is what lets a deployment optimizer keep one evaluated candidate's
-/// dirty-source slices and re-score the candidate in O(sources) additions
-/// after the surrounding program grew elsewhere.
+/// can be cached, swapped, and re-summed without touching the others -
+/// the Slice of a SliceSum. This is what lets a what-if re-score only its
+/// dirty sources, and a deployment optimizer keep one evaluated
+/// candidate's dirty-source slices and re-score the candidate in
+/// O(sources) additions after the surrounding program grew elsewhere.
 struct SourceContribution {
   std::size_t grc_paths = 0;
   std::size_t ma_paths = 0;
@@ -308,16 +314,82 @@ struct DiversityCounts {
     return grc_pairs + ma_extra_pairs;
   }
 
+  DiversityCounts& operator+=(const DiversityCounts& other) {
+    grc_paths += other.grc_paths;
+    ma_paths += other.ma_paths;
+    grc_pairs += other.grc_pairs;
+    ma_extra_pairs += other.ma_extra_pairs;
+    return *this;
+  }
+
   friend bool operator==(const DiversityCounts&,
                          const DiversityCounts&) = default;
 };
 
-/// Folds per-source path sets (the SweepRunner reference shape) into
-/// DiversityCounts. Pair semantics match MetricsAggregator::aggregate: a
-/// destination with any GRC path is a grc_pair, one reached only by MA
-/// paths an ma_extra_pair.
+/// The DiversityCounts of one source's path sets. Pair semantics match
+/// MetricsAggregator::aggregate: a destination with any GRC path is a
+/// grc_pair, one reached only by MA paths an ma_extra_pair.
+[[nodiscard]] DiversityCounts count_diversity(const SourcePathSet& result);
+
+/// The per-source counts of `results`, summed.
 [[nodiscard]] DiversityCounts count_diversity(
     std::span<const SourcePathSet* const> results);
+
+/// Per-source additive slices in sources() order (SourceContribution or
+/// DiversityCounts) and their total, summed in that order from Slice{}.
+/// spliced() scores a delta from its dirty sources' fresh slices and
+/// adopt() commits them, both adding in slot order: a total is
+/// bit-identical to a SliceSum built from the spliced vector.
+template <typename Slice>
+class SliceSum {
+ public:
+  SliceSum() = default;
+  explicit SliceSum(std::vector<Slice> slices) : slices_(std::move(slices)) {
+    for (const Slice& slice : slices_) {
+      total_ += slice;
+    }
+  }
+
+  [[nodiscard]] const std::vector<Slice>& slices() const { return slices_; }
+  [[nodiscard]] const Slice& total() const { return total_; }
+
+  /// The total with fresh[k] in place of slot positions[k]. `positions`
+  /// must be strictly ascending and in range, one per fresh slice
+  /// (util::PreconditionError otherwise).
+  [[nodiscard]] Slice spliced(std::span<const std::size_t> positions,
+                              std::span<const Slice> fresh) const {
+    util::require(positions.size() == fresh.size(),
+                  "SliceSum: positions/fresh mismatch");
+    Slice total{};
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < slices_.size(); ++i) {
+      if (next < positions.size() && positions[next] == i) {
+        total += fresh[next++];
+      } else {
+        total += slices_[i];
+      }
+    }
+    // The walk consumes every position iff the list is strictly
+    // ascending and in range.
+    util::require(next == positions.size(), "SliceSum: bad position list");
+    return total;
+  }
+
+  /// Overwrites slot positions[k] with fresh[k] and re-sums the total.
+  /// Checked like spliced() before any slot moves: a rejected call
+  /// changes nothing.
+  void adopt(std::span<const std::size_t> positions,
+             std::span<const Slice> fresh) {
+    total_ = spliced(positions, fresh);
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+      slices_[positions[k]] = fresh[k];
+    }
+  }
+
+ private:
+  std::vector<Slice> slices_;
+  Slice total_{};
+};
 
 /// Diversity surviving k link failures: the §VI GRC/MA counts
 /// re-evaluated under every enumerated (or budget-sampled) k-failure set,
@@ -371,16 +443,10 @@ class MetricsAggregator {
 
   /// Folds the per-source results of one scenario (results[i] belongs to
   /// sources[i], the shape SweepRunner produces). Thread-safe per call.
+  /// The full-refold oracle of what the scorers splice.
   [[nodiscard]] ScenarioMetrics aggregate(
       const Overlay& overlay, const std::vector<AsId>& sources,
       const std::vector<SourcePathSet>& results) const;
-
-  /// Pointer variant for zero-copy sweeps: SweepRunner::evaluate_visit
-  /// hands out references into its cache, so a scenario can be aggregated
-  /// without duplicating any cache-served path set.
-  [[nodiscard]] ScenarioMetrics aggregate(
-      const Overlay& overlay, const std::vector<AsId>& sources,
-      const std::vector<const SourcePathSet*>& results) const;
 
   /// Reusable working memory of contribution(): dense per-AS best-path
   /// slots (with a bitmap of the live ones, folded in ascending
@@ -444,6 +510,21 @@ class MetricsAggregator {
     Scratch scratch;
     return contribution(overlay, result, scratch);
   }
+
+  /// The contributions of a state's per-source path sets over its
+  /// `overlay`, computed on up to `threads` workers.
+  [[nodiscard]] SliceSum<SourceContribution> contributions(
+      const Overlay& overlay, std::span<const SourcePathSet> results,
+      std::size_t threads) const;
+
+  /// The total contribution of `delta` on top of `runner`'s state, whose
+  /// contributions are `state`: the delta's dirty sources, enumerated and
+  /// contributed on up to `threads` workers, spliced into `state`. Its
+  /// finalize() is, to the bit, aggregate() of a full recompute.
+  [[nodiscard]] SourceContribution whatif_total(
+      const SweepRunner<SourcePathSet>& runner,
+      const SliceSum<SourceContribution>& state, const Delta& delta,
+      std::size_t threads, SweepStats* stats = nullptr) const;
 
   /// Geodistance of s-m-d over the overlay. Hops over overlay-added links
   /// use facilities estimated from the endpoint PoP sets (see the header

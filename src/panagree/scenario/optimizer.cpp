@@ -44,8 +44,8 @@ struct SearchState {
       : runner(std::move(r)) {}
 
   SweepRunner<SourcePathSet> runner;
-  /// Per-source contribution of the current program state, runner order.
-  std::vector<SourceContribution> contribs;
+  /// Per-source contributions of the current program state, runner order.
+  SliceSum<SourceContribution> contribs;
   ScenarioMetrics metrics;
   double cumulative_utility = 0.0;
   Program program;
@@ -55,7 +55,6 @@ struct SearchState {
 
 struct Scored {
   bool feasible = false;
-  SourceContribution total;
   ScenarioMetrics metrics;
   MetricsDelta marginal;
   double marginal_utility = 0.0;
@@ -63,25 +62,6 @@ struct Scored {
 
 [[nodiscard]] bool sorted_contains(const std::vector<AsId>& sorted, AsId x) {
   return std::binary_search(sorted.begin(), sorted.end(), x);
-}
-
-/// Sum of the state's per-source contributions with the candidate's
-/// dirty-source slices spliced in - fixed (source-order) association, so
-/// scores are bit-identical however the slices were obtained.
-[[nodiscard]] SourceContribution fold_total(const SearchState& state,
-                                            const CandidateEval& eval) {
-  SourceContribution total;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < state.contribs.size(); ++i) {
-    if (next < eval.dirty_positions.size() &&
-        eval.dirty_positions[next] == i) {
-      total += eval.fresh_contribs[next];
-      ++next;
-    } else {
-      total += state.contribs[i];
-    }
-  }
-  return total;
 }
 
 /// The committed step's contamination balls, BFS'd over the *union* of
@@ -221,8 +201,8 @@ SweepStats evaluate_candidate(const SearchState& state, const Delta& delta,
                                      const UtilityWeights& weights) {
   Scored scored;
   scored.feasible = true;
-  scored.total = fold_total(state, eval);
-  scored.metrics = finalize(scored.total);
+  scored.metrics = finalize(
+      state.contribs.spliced(eval.dirty_positions, eval.fresh_contribs));
   scored.marginal = subtract(scored.metrics, state.metrics);
   scored.marginal_utility = operator_utility(scored.marginal, weights);
   return scored;
@@ -249,16 +229,9 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
   SearchState root(
       SweepRunner<SourcePathSet>(*base_, sources_, config_.sweep));
   root.runner.prime(enumerate);
-  const Overlay base_view(*base_);
-  root.contribs.reserve(sources_.size());
-  SourceContribution base_total;
-  MetricsAggregator::Scratch scratch;
-  for (const SourcePathSet& sets : root.runner.baseline()) {
-    root.contribs.push_back(
-        aggregator_->contribution(base_view, sets, scratch));
-    base_total += root.contribs.back();
-  }
-  root.metrics = finalize(base_total);
+  root.contribs = aggregator_->contributions(
+      Overlay(*base_), root.runner.baseline(), config_.sweep.threads);
+  root.metrics = finalize(root.contribs.total());
   root.evals.resize(candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     root.evals[c].touched = touched_ases(candidates[c]);
@@ -364,9 +337,7 @@ OptimizerResult Optimizer::run(const std::vector<Delta>& candidates) const {
       child.runner.rebase_adopted(delta, winner.dirty_positions,
                                   std::move(winner.fresh));
       child.program.push(delta);
-      for (std::size_t k = 0; k < winner.dirty_positions.size(); ++k) {
-        child.contribs[winner.dirty_positions[k]] = winner.fresh_contribs[k];
-      }
+      child.contribs.adopt(winner.dirty_positions, winner.fresh_contribs);
       child.metrics = proposal.scored.metrics;
       child.cumulative_utility = proposal.cumulative_utility;
 

@@ -24,9 +24,9 @@
 //     full recompiles in scenario_program_test.
 //
 // Scoring never re-aggregates path sets it has already seen: per-source
-// results fold into additive SourceContribution slices, so re-scoring a
-// cached candidate after the program grew elsewhere is O(sources)
-// additions, not an enumeration.
+// results fold into additive SourceContribution slices (a SliceSum per
+// search state), so re-scoring a cached candidate after the program grew
+// elsewhere is O(sources) additions, not an enumeration.
 #pragma once
 
 #include <cstddef>

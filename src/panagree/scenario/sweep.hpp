@@ -18,7 +18,9 @@
 //      the dirty set is conservative in both directions of the delta.
 //
 //   2. *Determinism.* Clean sources reuse the cached baseline result;
-//      prime() and the dirty recomputes call paths::map_sources directly,
+//      prime() and evaluate_dirty_visit - the one place that builds the
+//      composed overlay, the ball and the dirty fan-out, under every
+//      evaluate flavor and rebase() - call paths::map_sources directly,
 //      whose output is in source order at any thread count however its
 //      cursor hands the sources out. Spliced results are therefore
 //      byte-identical to a full recompute of the mutated graph, serial or
@@ -35,7 +37,9 @@
 // flat arrays per source at ~4 bytes a path: 14.0 MB for the 3.64M paths
 // of 500 sources on the 3000-AS fixture, where {src, mid, dst} triples
 // took 41.6 MB. A copied runner (the serving engine's copy-on-rebase,
-// the optimizer's search states) copies all of it.
+// the optimizer's search states) copies all of it. Scorers do not read
+// the cache per scenario: they keep per-source additive slices of it
+// (scenario::SliceSum in metrics.hpp) and splice in the dirty sources'.
 //
 // Deployment *programs* (ordered step sequences, scenario::Program) ride
 // on the same machinery: rebase() folds a committed step into the cached
@@ -150,6 +154,19 @@ struct SweepStats {
 [[nodiscard]] std::vector<Delta> candidate_peering_deltas(
     const CompiledTopology& base, std::size_t count, std::uint64_t seed);
 
+/// A SweepRunner::evaluate_dirty_visit visitor that keeps what it is
+/// handed: the dirty positions, ascending, and the result of each.
+template <typename T>
+struct DirtySlice {
+  std::vector<std::size_t> positions;
+  std::vector<T> results;
+
+  void operator()(std::size_t position, const Overlay&, T result) {
+    positions.push_back(position);
+    results.push_back(std::move(result));
+  }
+};
+
 template <typename Result>
 class SweepRunner {
  public:
@@ -166,6 +183,7 @@ class SweepRunner {
 
   [[nodiscard]] const std::vector<AsId>& sources() const { return sources_; }
   [[nodiscard]] const CompiledTopology& base() const { return *base_; }
+  [[nodiscard]] const SweepConfig& config() const { return config_; }
   [[nodiscard]] bool primed() const { return primed_; }
 
   /// The composed delta the cache currently represents: empty after
@@ -208,14 +226,9 @@ class SweepRunner {
   /// evaluating candidates incrementally against the grown state.
   template <typename Fn>
   void rebase(const Delta& step, const Fn& fn, SweepStats* stats = nullptr) {
-    const std::size_t dirty = recompute_dirty(step, fn, stats);
-    state_ = compose(state_, step);
-    for (std::size_t i = 0; i < dirty; ++i) {
-      cache_[dirty_positions_[i]] = std::move(fresh_[i]);
-    }
-    fresh_.clear();
-    dirty_positions_.clear();
-    dirty_sources_.clear();
+    DirtySlice<Result> dirty;
+    evaluate_dirty_visit(step, fn, dirty, config_.threads, stats);
+    rebase_adopted(step, dirty.positions, std::move(dirty.results));
   }
 
   /// rebase() for a caller that already evaluated `step` as a candidate
@@ -250,20 +263,20 @@ class SweepRunner {
   }
 
   /// Evaluates one scenario delta on top of state(): recomputes the
-  /// sources whose invalidation ball membership makes them dirty, reuses
-  /// the cache for the rest, and invokes `visit(source_index, result)`
-  /// for every source in order. The Result references stay valid until
-  /// the next evaluate*/rebase/prime call on this runner (cached slots
-  /// point into the state cache, fresh ones into runner-owned scratch).
+  /// sources whose invalidation ball membership makes them dirty (through
+  /// evaluate_dirty_visit, on config().threads workers), reuses the cache
+  /// for the rest, and invokes `visit(source_index, result)` for every
+  /// source in order. The Result references are valid only during the
+  /// visit.
   template <typename Fn, typename Visit>
   void evaluate_visit(const Delta& delta, const Fn& fn, Visit&& visit,
-                      SweepStats* stats = nullptr) {
-    const std::size_t dirty = recompute_dirty(delta, fn, stats);
-    std::size_t next_dirty = 0;
+                      SweepStats* stats = nullptr) const {
+    DirtySlice<Result> dirty;
+    evaluate_dirty_visit(delta, fn, dirty, config_.threads, stats);
+    std::size_t next = 0;
     for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (next_dirty < dirty && dirty_positions_[next_dirty] == i) {
-        visit(i, fresh_[next_dirty]);
-        ++next_dirty;
+      if (next < dirty.positions.size() && dirty.positions[next] == i) {
+        visit(i, dirty.results[next++]);
       } else {
         visit(i, cache_[i]);
       }
@@ -324,28 +337,12 @@ class SweepRunner {
     }
   }
 
-  /// The scenario's per-source results as pointers, in sources() order -
-  /// the zero-copy shape for aggregation (cache-served sources are not
-  /// duplicated). Pointers are invalidated by the next evaluate*/prime
-  /// call on this runner.
-  template <typename Fn>
-  [[nodiscard]] std::vector<const Result*> evaluate_refs(
-      const Delta& delta, const Fn& fn, SweepStats* stats = nullptr) {
-    std::vector<const Result*> out;
-    out.reserve(sources_.size());
-    evaluate_visit(
-        delta, fn,
-        [&](std::size_t, const Result& result) { out.push_back(&result); },
-        stats);
-    return out;
-  }
-
   /// evaluate_visit materialized: the full per-source result vector of the
   /// scenario, in sources() order (cached slots copied).
   template <typename Fn>
   [[nodiscard]] std::vector<Result> evaluate(const Delta& delta,
                                              const Fn& fn,
-                                             SweepStats* stats = nullptr) {
+                                             SweepStats* stats = nullptr) const {
     std::vector<Result> out;
     out.reserve(sources_.size());
     evaluate_visit(
@@ -356,49 +353,6 @@ class SweepRunner {
   }
 
  private:
-  /// Shared front half of every evaluate flavor: applies the delta on top
-  /// of the current state, computes the dirty source positions (the ball
-  /// is seeded by the *step* delta's endpoints only, walked over the full
-  /// composed adjacency), and recomputes them into fresh_. Returns the
-  /// dirty count.
-  template <typename Fn>
-  std::size_t recompute_dirty(const Delta& delta, const Fn& fn,
-                              SweepStats* stats) {
-    util::require(primed_, "SweepRunner::evaluate_visit: prime() first");
-    const obs::TraceSpan span("sweep.evaluate");
-    const std::uint64_t start = detail::sweep_clock_ns();
-    Overlay overlay(*base_);
-    overlay.apply(state_.empty() ? delta : compose(state_, delta));
-    const std::vector<AsId> ball = invalidation_ball(
-        overlay, touched_ases(delta), config_.dirty_radius);
-
-    dirty_positions_.clear();
-    dirty_sources_.clear();
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (std::binary_search(ball.begin(), ball.end(), sources_[i])) {
-        dirty_positions_.push_back(i);
-        dirty_sources_.push_back(sources_[i]);
-      }
-    }
-    fresh_ = paths::map_sources(dirty_sources_, config_.threads,
-                                [&](AsId src) { return fn(overlay, src); });
-
-    if (stats != nullptr) {
-      stats->recomputed_sources = dirty_sources_.size();
-      stats->cached_sources = sources_.size() - dirty_sources_.size();
-      stats->ball_size = ball.size();
-    }
-    if constexpr (obs::enabled()) {
-      detail::SweepMetrics& metrics = detail::sweep_metrics();
-      metrics.recomputed_sources.add(dirty_sources_.size());
-      metrics.cached_sources.add(sources_.size() - dirty_sources_.size());
-      metrics.ball_size.record(ball.size());
-      metrics.dirty_sources.record(dirty_sources_.size());
-      metrics.evaluate_ns.record(detail::sweep_clock_ns() - start);
-    }
-    return dirty_sources_.size();
-  }
-
   const CompiledTopology* base_;
   std::vector<AsId> sources_;
   SweepConfig config_;
@@ -406,12 +360,6 @@ class SweepRunner {
   /// The composed delta cache_ holds results for (empty until rebase).
   Delta state_;
   bool primed_ = false;
-  /// Scratch reused across evaluate calls (a runner is single-sweep;
-  /// parallelism lives inside map_sources). fresh_ backs the references
-  /// evaluate_visit/evaluate_refs hand out for dirty sources.
-  std::vector<std::size_t> dirty_positions_;
-  std::vector<AsId> dirty_sources_;
-  std::vector<Result> fresh_;
 };
 
 }  // namespace panagree::scenario

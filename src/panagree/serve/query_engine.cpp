@@ -9,7 +9,6 @@
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/metrics.hpp"
 #include "panagree/obs/trace.hpp"
-#include "panagree/paths/parallel.hpp"
 
 namespace panagree::serve {
 
@@ -71,34 +70,6 @@ scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// The Scratches of one parallel refold or what-if. A worker borrows one
-/// per source and hands it back, so a fan-out allocates at most one per
-/// worker (each holds a slot per AS), and all of them are freed when it
-/// returns.
-class ScratchPool {
- public:
-  std::unique_ptr<scenario::MetricsAggregator::Scratch> acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        auto scratch = std::move(idle_.back());
-        idle_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<scenario::MetricsAggregator::Scratch>();
-  }
-
-  void release(std::unique_ptr<scenario::MetricsAggregator::Scratch> scratch) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(scratch));
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<scenario::MetricsAggregator::Scratch>> idle_;
-};
 
 /// Per-request-kind counter + latency histogram (serve.requests.*,
 /// serve.latency_ns.*).
@@ -193,7 +164,7 @@ std::string canonical_delta_key(const scenario::Delta& delta) {
 
 /// The immutable unit the shared_mutex guards: one primed runner cache,
 /// the overlay of its composed state, and the additive per-source
-/// contributions that make whatif scoring an O(sources) fold. rebase()
+/// contributions that make whatif scoring an O(sources) splice. rebase()
 /// copies, mutates the copy, and swaps - readers keep old snapshots
 /// alive through the shared_ptr.
 struct QueryEngine::State {
@@ -203,34 +174,21 @@ struct QueryEngine::State {
 
   scenario::SweepRunner<scenario::SourcePathSet> runner;
   scenario::Overlay overlay;
-  std::vector<scenario::SourceContribution> contribs;
-  scenario::SourceContribution total;
+  scenario::SliceSum<scenario::SourceContribution> contribs;
   scenario::ScenarioMetrics metrics;
 
-  /// Recomputes contribs/total/metrics from the runner's cache (after
-  /// prime or rebase) and returns the wall time it took. The per-source
-  /// kernel fans out over the engine's workers; the total is then summed
+  /// Recomputes contribs/metrics from the runner's cache (after prime or
+  /// rebase) and returns the wall time it took. The per-source kernel
+  /// fans out over the engine's workers; the total is then summed
   /// serially in source order, so the bytes never depend on the thread
   /// count.
   std::uint64_t refresh_contributions(
       const scenario::MetricsAggregator& aggregator,
       const EngineConfig& config) {
     const std::uint64_t start = steady_ns();
-    const std::vector<scenario::SourcePathSet>& cache = runner.baseline();
-    ScratchPool pool;
-    contribs = paths::map_indices(
-        cache.size(), config.threads, [&](std::size_t i) {
-          auto scratch = pool.acquire();
-          const scenario::SourceContribution contribution =
-              aggregator.contribution(overlay, cache[i], *scratch);
-          pool.release(std::move(scratch));
-          return contribution;
-        });
-    total = scenario::SourceContribution{};
-    for (const scenario::SourceContribution& contribution : contribs) {
-      total += contribution;
-    }
-    metrics = scenario::finalize(total);
+    contribs =
+        aggregator.contributions(overlay, runner.baseline(), config.threads);
+    metrics = scenario::finalize(contribs.total());
     const std::uint64_t fold_ns = steady_ns() - start;
     engine_metrics().fold_ns.record(fold_ns);
     return fold_ns;
@@ -331,7 +289,7 @@ DiversityResult QueryEngine::diversity(AsId src) const {
   const auto it = source_index_.find(src);
   if (it != source_index_.end()) {
     engine_metrics().paths_cache_hits.increment();
-    return to_diversity_result(state->contribs[it->second]);
+    return to_diversity_result(state->contribs.slices()[it->second]);
   }
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
   engine_metrics().paths_cold.increment();
@@ -341,43 +299,13 @@ DiversityResult QueryEngine::diversity(AsId src) const {
 
 WhatIfResult QueryEngine::compute_whatif(const State& state,
                                          const scenario::Delta& delta) const {
-  // Enumerate and score each dirty source on the engine's workers (the
-  // contribution is most of a what-if's cost); the runner hands the
-  // results back in source order.
+  // Only the dirty sources are enumerated and scored, on the engine's
+  // workers (the contribution is most of a what-if's cost), then spliced
+  // into the state's per-source contributions in source order.
   scenario::SweepStats stats;
-  std::vector<std::size_t> dirty_positions;
-  std::vector<scenario::SourceContribution> fresh;
-  ScratchPool pool;
-  state.runner.evaluate_dirty_visit(
-      delta,
-      [&](const scenario::Overlay& overlay, AsId src) {
-        const scenario::SourcePathSet sets = enumerate(overlay, src);
-        auto scratch = pool.acquire();
-        const scenario::SourceContribution contribution =
-            aggregator_.contribution(overlay, sets, *scratch);
-        pool.release(std::move(scratch));
-        return contribution;
-      },
-      [&](std::size_t i, const scenario::Overlay&,
-          const scenario::SourceContribution& contribution) {
-        dirty_positions.push_back(i);
-        fresh.push_back(contribution);
-      },
-      config_.threads, &stats);
-
-  // Splice the dirty slices into the state's per-source contributions
-  // (fixed source-order association, exactly like the optimizer's fold).
-  scenario::SourceContribution total;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < state.contribs.size(); ++i) {
-    if (next < dirty_positions.size() && dirty_positions[next] == i) {
-      total += fresh[next];
-      ++next;
-    } else {
-      total += state.contribs[i];
-    }
-  }
-  const scenario::ScenarioMetrics metrics = scenario::finalize(total);
+  const scenario::ScenarioMetrics metrics =
+      scenario::finalize(aggregator_.whatif_total(
+          state.runner, state.contribs, delta, config_.threads, &stats));
   const scenario::MetricsDelta marginal =
       scenario::subtract(metrics, state.metrics);
 

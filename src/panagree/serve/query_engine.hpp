@@ -16,12 +16,15 @@
 //   * whatif     - score a candidate link delta against the current
 //                  state: only the sources inside the delta's
 //                  invalidation ball are re-enumerated (the SweepRunner
-//                  machinery), never a full recompute, and the scenario
-//                  is re-scored in O(sources) additive folds. The dirty
-//                  sources are enumerated and scored on up to
-//                  EngineConfig::threads workers, results kept by
-//                  position and folded in source order, so the bytes
-//                  never depend on the thread count.
+//                  machinery), never a full recompute, and their
+//                  contributions are spliced into the state's cached
+//                  ones (scenario::SliceSum, through
+//                  MetricsAggregator::whatif_total - the same call
+//                  panagree-sweep ranks with). The dirty sources are
+//                  enumerated and scored on up to EngineConfig::threads
+//                  workers, results kept by position and summed in
+//                  source order, so the bytes never depend on the thread
+//                  count.
 //   * rebase     - commit a deployment step (copy-on-rebase, below) and
 //                  answer the new epoch.
 //

@@ -198,11 +198,11 @@ TEST(FailureSweep, RemoveThenReAddIsTheSweepIdentity) {
     config.dirty_radius = kLength3DirtyRadius;
     SweepRunner<SourcePathSet> runner(c, sources, config);
     runner.prime(enumerate);
-    const std::vector<const SourcePathSet*> results =
-        runner.evaluate_refs(rewire, enumerate);
+    const std::vector<SourcePathSet> results =
+        runner.evaluate(rewire, enumerate);
     ASSERT_EQ(results.size(), sources.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(*results[i], runner.baseline()[i])
+      EXPECT_EQ(results[i], runner.baseline()[i])
           << "source " << sources[i] << " at " << threads << " threads";
     }
   }

@@ -443,6 +443,123 @@ TEST(SweepRunner, RebaseAdoptedRejectsBadPositionsWithoutSideEffects) {
   }
 }
 
+/// A random contribution whose doubles are not exactly representable, so
+/// a sum of them rounds and any change of addition order shows in the
+/// bits.
+SourceContribution random_contribution(util::Rng& rng) {
+  SourceContribution c;
+  c.grc_paths = rng.uniform_index(1000);
+  c.ma_paths = rng.uniform_index(1000);
+  c.grc_pairs = rng.uniform_index(500);
+  c.ma_extra_pairs = rng.uniform_index(500);
+  c.km_sum = rng.uniform(0.0, 1e6) / 3.0;
+  c.km_pairs = rng.uniform_index(500);
+  c.transit_fees = 0.1 * static_cast<double>(rng.uniform_index(100000)) +
+                   rng.uniform(0.0, 1e-3);
+  return c;
+}
+
+DiversityCounts random_counts(util::Rng& rng) {
+  return {rng.uniform_index(1000), rng.uniform_index(1000),
+          rng.uniform_index(500), rng.uniform_index(500)};
+}
+
+template <typename Slice>
+[[nodiscard]] bool same_slice_bytes(const Slice& a, const Slice& b) {
+  return std::memcmp(&a, &b, sizeof(Slice)) == 0;
+}
+
+/// The oracle of every splice: an in-order += refold from Slice{}.
+template <typename Slice>
+[[nodiscard]] Slice refold(const std::vector<Slice>& slices) {
+  Slice total{};
+  for (const Slice& slice : slices) {
+    total += slice;
+  }
+  return total;
+}
+
+/// spliced() and adopt() over random slices and random ascending position
+/// lists, among them none, the first slot, the last slot and all slots.
+template <typename Slice, typename Make>
+void check_splices(Make make, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 500u}) {
+    std::vector<Slice> slices;
+    for (std::size_t i = 0; i < n; ++i) {
+      slices.push_back(make(rng));
+    }
+    const SliceSum<Slice> sum(slices);
+    ASSERT_TRUE(same_slice_bytes(sum.total(), refold(slices)));
+    std::vector<std::vector<std::size_t>> lists{{}, {0}, {n - 1}, {}};
+    for (std::size_t i = 0; i < n; ++i) {
+      lists[3].push_back(i);
+    }
+    for (int k = 0; k < 20; ++k) {
+      std::vector<std::size_t>& some = lists.emplace_back();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.uniform_index(4) == 0) {
+          some.push_back(i);
+        }
+      }
+    }
+    for (const std::vector<std::size_t>& positions : lists) {
+      std::vector<Slice> fresh;
+      std::vector<Slice> expected = slices;
+      for (const std::size_t position : positions) {
+        fresh.push_back(make(rng));
+        expected[position] = fresh.back();
+      }
+      EXPECT_TRUE(same_slice_bytes(sum.spliced(positions, fresh),
+                                   refold(expected)))
+          << n << " slots, " << positions.size() << " spliced";
+      SliceSum<Slice> adopted = sum;
+      adopted.adopt(positions, fresh);
+      EXPECT_EQ(adopted.slices(), expected);
+      EXPECT_TRUE(same_slice_bytes(adopted.total(),
+                                   SliceSum<Slice>(expected).total()))
+          << n << " slots, " << positions.size() << " adopted";
+    }
+  }
+}
+
+TEST(SliceSum, SplicesAddInSlotOrderToTheBit) {
+  check_splices<SourceContribution>(random_contribution, 17);
+}
+
+TEST(SliceSum, SplicesDiversityCounts) {
+  check_splices<DiversityCounts>(random_counts, 18);
+}
+
+/// Unsorted, duplicate and out-of-range position lists (and a list that
+/// does not match its slices) are rejected before any slot moves.
+TEST(SliceSum, RejectsBadPositionListsWithoutSideEffects) {
+  util::Rng rng(19);
+  std::vector<SourceContribution> slices;
+  for (int i = 0; i < 6; ++i) {
+    slices.push_back(random_contribution(rng));
+  }
+  SliceSum<SourceContribution> sum(slices);
+  const SourceContribution total = sum.total();
+  const std::vector<SourceContribution> fresh{random_contribution(rng),
+                                              random_contribution(rng)};
+  const std::size_t unsorted[] = {3, 1};
+  const std::size_t duplicate[] = {2, 2};
+  const std::size_t out_of_range[] = {0, 6};
+  const std::size_t one[] = {4};
+  for (const std::span<const std::size_t> positions :
+       {std::span<const std::size_t>(unsorted),
+        std::span<const std::size_t>(duplicate),
+        std::span<const std::size_t>(out_of_range),
+        std::span<const std::size_t>(one)}) {
+    EXPECT_THROW((void)sum.spliced(positions, fresh),
+                 util::PreconditionError);
+    EXPECT_THROW(sum.adopt(positions, fresh), util::PreconditionError);
+    EXPECT_EQ(sum.slices(), slices);
+    EXPECT_TRUE(same_slice_bytes(sum.total(), total));
+  }
+}
+
 /// A set's hop runs break wherever the mid changes and at the GRC/MA
 /// boundary, and every path of a set shares its source.
 TEST(SourcePathSet, RunsBreakAtMidChangesAndTheGrcMaBoundary) {

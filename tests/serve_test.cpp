@@ -419,8 +419,8 @@ WhatIfResult full_recompute_whatif(const ServeFixture& f,
   scenario::Overlay overlay(*f.compiled_);
   overlay.apply(delta);
   scenario::SweepStats stats;
-  const std::vector<const scenario::SourcePathSet*> results =
-      runner.evaluate_refs(delta, enumerate, &stats);
+  const std::vector<scenario::SourcePathSet> results =
+      runner.evaluate(delta, enumerate, &stats);
   const scenario::ScenarioMetrics metrics =
       f.aggregator_->aggregate(overlay, f.sources_, results);
   const scenario::MetricsDelta marginal =
@@ -500,8 +500,8 @@ TEST(QueryEngine, RebaseFoldsStepAndBumpsEpoch) {
   scenario::SweepStats stats;
   scenario::Overlay probe_overlay(*f.compiled_);
   probe_overlay.apply(scenario::compose(runner.state(), probe));
-  const std::vector<const scenario::SourcePathSet*> results =
-      runner.evaluate_refs(probe, enumerate, &stats);
+  const std::vector<scenario::SourcePathSet> results =
+      runner.evaluate(probe, enumerate, &stats);
   const scenario::MetricsDelta marginal = scenario::subtract(
       f.aggregator_->aggregate(probe_overlay, f.sources_, results),
       state_metrics);

@@ -13,8 +13,11 @@
 // peering candidacies). Each scenario is evaluated as a Delta over one
 // shared CSR snapshot through scenario::SweepRunner - per-source §VI
 // length-3 path sets are cached across scenarios and only sources inside
-// a candidate's invalidation ball are recomputed - then aggregated into
-// path-diversity / geodistance / transit-fee deltas and a scalar utility.
+// a candidate's invalidation ball are recomputed - and scored the way the
+// serving engine scores a what-if: the dirty sources' contributions are
+// spliced into the cached ones (MetricsAggregator::whatif_total) and
+// turned into path-diversity / geodistance / transit-fee deltas and a
+// scalar utility.
 //
 // With --optimize the tool emits a ranked deployment *program* instead of
 // a one-shot ranking: scenario::Optimizer greedily (or with a beam of
@@ -32,9 +35,11 @@
 // node-level universe instead: each failure set takes one AS dark
 // (scenario::as_failure_delta - every incident link removed at once),
 // exhaustive over the graph when it fits --samples and deterministically
-// sampled above it, through the identical ranking machinery. Each candidate also reports its
-// deployment churn - next-hop changes and convergence rounds of the
-// dynamics::converge fixpoint over a destination sample. Output is a pure
+// sampled above it, through the identical ranking machinery. Each
+// candidate also reports its deployment churn - next-hop changes and
+// convergence rounds of the dynamics::converge fixpoint over a
+// destination sample. The failure modes exclude each other and
+// --optimize (exit 2 before any topology is loaded). Output is a pure
 // function of the topology and flags: --threads only changes wall-clock
 // time (CI diffs the bytes at 1 and 4 threads).
 //
@@ -160,7 +165,11 @@ bool parse_args(int argc, char** argv, Options& options) {
       return false;
     }
   }
-  return true;
+  // One mode at a time: one failure universe, and the failure ranking has
+  // no --optimize form. Rejected here, before any topology is loaded.
+  const bool failure_mode = options.failures > 0 || options.fail_ases;
+  return !(options.failures > 0 && options.fail_ases) &&
+         !(options.optimize && failure_mode);
 }
 
 std::string describe(const scenario::Delta& delta) {
@@ -241,13 +250,10 @@ int run_failure_sweep(const Options& options,
   }
 
   // Steady-state baseline + its diversity under the same failure sets.
-  std::vector<const scenario::SourcePathSet*> baseline_refs;
-  baseline_refs.reserve(runner.baseline().size());
+  scenario::DiversityCounts base_counts;
   for (const scenario::SourcePathSet& sets : runner.baseline()) {
-    baseline_refs.push_back(&sets);
+    base_counts += scenario::count_diversity(sets);
   }
-  const scenario::DiversityCounts base_counts =
-      scenario::count_diversity(baseline_refs);
   const scenario::FailureDiversity base_fd =
       scenario::failure_diversity(runner, scenario::Delta{}, failure.sets);
 
@@ -381,10 +387,6 @@ int main(int argc, char** argv) {
         net.graph(), benchcfg::num_sources(), benchcfg::kSampleSeed);
 
     if (options.failures > 0 || options.fail_ases) {
-      if (options.failures > 0 && options.fail_ases) {
-        usage();  // one failure universe at a time
-        return 2;
-      }
       return run_failure_sweep(options, compiled, net.graph(), sources);
     }
 
@@ -465,9 +467,13 @@ int main(int argc, char** argv) {
       return scenario::enumerate_length3(overlay, src);
     };
     runner.prime(enumerate);
-    const scenario::Overlay base_view(compiled);
+    // Each source's contribution is folded once; a candidate only
+    // contributes its dirty sources and splices them in.
+    const scenario::SliceSum<scenario::SourceContribution> contribs =
+        aggregator.contributions(scenario::Overlay(compiled),
+                                 runner.baseline(), options.threads);
     const scenario::ScenarioMetrics baseline =
-        aggregator.aggregate(base_view, sources, runner.baseline());
+        scenario::finalize(contribs.total());
     std::cerr << "[sweep] baseline over " << sources.size()
               << " sources: " << baseline.grc_paths << " GRC + "
               << baseline.ma_paths << " MA paths, "
@@ -492,16 +498,11 @@ int main(int argc, char** argv) {
     ranked.reserve(deltas.size());
     std::size_t recomputed_total = 0;
     for (std::size_t i = 0; i < deltas.size(); ++i) {
-      scenario::Overlay overlay(compiled);
-      overlay.apply(deltas[i]);
       Ranked entry;
       entry.scenario = i;
-      // Zero-copy: cache-served sources are aggregated straight out of
-      // the runner's baseline cache, dirty ones out of its scratch.
-      const std::vector<const scenario::SourcePathSet*> results =
-          runner.evaluate_refs(deltas[i], enumerate, &entry.stats);
       const scenario::ScenarioMetrics metrics =
-          aggregator.aggregate(overlay, sources, results);
+          scenario::finalize(aggregator.whatif_total(
+              runner, contribs, deltas[i], options.threads, &entry.stats));
       entry.delta = scenario::subtract(metrics, baseline);
       entry.utility = scenario::operator_utility(entry.delta);
       recomputed_total += entry.stats.recomputed_sources;
