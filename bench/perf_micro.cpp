@@ -445,8 +445,9 @@ BENCHMARK(BM_ScenarioSweep_Incremental)
 // rounds to fixpoint for a fixed destination sample on the 3000-AS
 // topology. BM_Convergence_FailureSweep is the --failures workload unit:
 // one candidate deployment re-evaluated under 8 single-link failure
-// sets through a primed incremental sweep (prime outside the timing
-// loop; the per-set cost is the invalidation ball, not the topology).
+// sets through a primed incremental sweep (prime and the state's
+// per-source counts outside the timing loop; the per-set cost is the
+// invalidation ball, not the topology).
 
 void BM_Convergence_Fixpoint(benchmark::State& state) {
   const auto& compiled = cached_compiled();
@@ -484,10 +485,12 @@ void BM_Convergence_FailureSweep(benchmark::State& state) {
   const scenario::FailureSets failures =
       scenario::failure_sets(compiled, 1, 8, 1234);
   const scenario::Delta& candidate = sweep_deltas().front();
+  const scenario::SliceSum<scenario::DiversityCounts> counts =
+      scenario::diversity_counts(runner);
   std::size_t checksum = 0;
   for (auto _ : state) {
-    const scenario::FailureDiversity fd =
-        scenario::failure_diversity(runner, candidate, failures.sets);
+    const scenario::FailureDiversity fd = scenario::failure_diversity(
+        runner, counts, candidate, failures.sets);
     checksum = fd.min.total_paths() + fd.worst_set;
     benchmark::DoNotOptimize(checksum);
   }

@@ -110,15 +110,23 @@ Delta as_failure_delta(const CompiledTopology& base, AsId as) {
   return delta;
 }
 
+SliceSum<DiversityCounts> diversity_counts(
+    const SweepRunner<SourcePathSet>& runner) {
+  util::require(runner.primed(), "diversity_counts: prime the runner first");
+  const std::vector<SourcePathSet>& cache = runner.baseline();
+  return SliceSum<DiversityCounts>(paths::map_indices(
+      cache.size(), runner.config().threads,
+      [&](std::size_t i) { return count_diversity(cache[i]); }));
+}
+
 FailureDiversity failure_diversity(const SweepRunner<SourcePathSet>& runner,
+                                   const SliceSum<DiversityCounts>& counts,
                                    const Delta& deployment,
                                    std::span<const Delta> failures) {
   util::require(runner.primed(), "failure_diversity: prime the runner first");
+  util::require(counts.slices().size() == runner.sources().size(),
+                "failure_diversity: counts of another source sample");
   const std::size_t threads = runner.config().threads;
-  const std::vector<SourcePathSet>& cache = runner.baseline();
-  const SliceSum<DiversityCounts> state(paths::map_indices(
-      cache.size(), threads,
-      [&](std::size_t i) { return count_diversity(cache[i]); }));
   FailureDiversity out;
   out.sets = failures.size();
   double paths_sum = 0.0;
@@ -135,12 +143,12 @@ FailureDiversity failure_diversity(const SweepRunner<SourcePathSet>& runner,
           return count_diversity(enumerate_length3(overlay, src));
         },
         dirty, threads);
-    const DiversityCounts counts =
-        state.spliced(dirty.positions, dirty.results);
-    paths_sum += static_cast<double>(counts.total_paths());
-    pairs_sum += static_cast<double>(counts.reachable_pairs());
-    if (first || counts.total_paths() < out.min.total_paths()) {
-      out.min = counts;
+    const DiversityCounts surviving =
+        counts.spliced(dirty.positions, dirty.results);
+    paths_sum += static_cast<double>(surviving.total_paths());
+    pairs_sum += static_cast<double>(surviving.reachable_pairs());
+    if (first || surviving.total_paths() < out.min.total_paths()) {
+      out.min = surviving;
       out.worst_set = i;
       first = false;
     }

@@ -48,17 +48,25 @@ struct FailureSets {
 /// observe).
 [[nodiscard]] Delta as_failure_delta(const CompiledTopology& base, AsId as);
 
+/// The per-source DiversityCounts of `runner`'s state, counted on its
+/// threads: what failure_diversity() splices into. Count once per runner
+/// state and pass the result to every failure_diversity() call on that
+/// state. `runner` must be primed.
+[[nodiscard]] SliceSum<DiversityCounts> diversity_counts(
+    const SweepRunner<SourcePathSet>& runner);
+
 /// Evaluates `deployment` under every failure set: each set is composed
 /// onto the deployment (deployment links stay up; the failed base links
 /// go down), and its dirty sources' counts (on the runner's threads) are
-/// spliced into the state's per-source counts, counted once per call;
-/// the surviving §VI diversity counts fold into the min/mean headline.
-/// `runner` must be primed; `deployment` must not remove links that
-/// appear in a failure set (deployments add links). Results are a pure
-/// function of (runner state, deployment, failures) - thread counts only
-/// change wall-clock time.
+/// spliced into `counts`, diversity_counts() of the runner's current
+/// state; the surviving §VI diversity counts fold into the min/mean
+/// headline. `runner` must be primed; `deployment` must not remove links
+/// that appear in a failure set (deployments add links). Results are a
+/// pure function of (runner state, deployment, failures) - thread counts
+/// only change wall-clock time.
 [[nodiscard]] FailureDiversity failure_diversity(
-    const SweepRunner<SourcePathSet>& runner, const Delta& deployment,
+    const SweepRunner<SourcePathSet>& runner,
+    const SliceSum<DiversityCounts>& counts, const Delta& deployment,
     std::span<const Delta> failures);
 
 }  // namespace panagree::scenario

@@ -24,40 +24,29 @@ double unit_price(const econ::Economy* economy, const Link& link) {
              : 0.0;
 }
 
-/// The Scratches of one parallel fold. A worker borrows one per source
-/// and hands it back, so a fan-out allocates at most one per worker (each
-/// holds a slot per AS), and all of them are freed with the pool.
-class ScratchPool {
- public:
-  explicit ScratchPool(const MetricsAggregator& aggregator)
-      : aggregator_(&aggregator) {}
-
-  [[nodiscard]] SourceContribution contribution(const Overlay& overlay,
-                                                const SourcePathSet& result) {
-    MetricsAggregator::Scratch* scratch = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (idle_.empty()) {
-        idle_.push_back(&all_.emplace_back());
-      }
-      scratch = idle_.back();
-      idle_.pop_back();
-    }
-    const SourceContribution out =
-        aggregator_->contribution(overlay, result, *scratch);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(scratch);
-    return out;
-  }
-
- private:
-  const MetricsAggregator* aggregator_;
-  std::mutex mutex_;
-  std::deque<MetricsAggregator::Scratch> all_;  // stable addresses
-  std::vector<MetricsAggregator::Scratch*> idle_;
-};
+/// The path set a runner caches, however it holds it.
+const SourcePathSet& path_set(const SourcePathSet& set) { return set; }
+const SourcePathSet& path_set(const SharedPathSet& set) { return *set; }
 
 }  // namespace
+
+SourceContribution ScratchPool::contribution(const Overlay& overlay,
+                                             const SourcePathSet& result) {
+  MetricsAggregator::Scratch* scratch = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (idle_.empty()) {
+      idle_.push_back(&all_.emplace_back());
+    }
+    scratch = idle_.back();
+    idle_.pop_back();
+  }
+  const SourceContribution out =
+      aggregator_->contribution(overlay, result, *scratch);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  idle_.push_back(scratch);
+  return out;
+}
 
 SourcePathSet enumerate_length3(const Overlay& overlay, AsId src) {
   const paths::BasicPathEnumerator<Overlay> enumerator(overlay);
@@ -413,18 +402,20 @@ ScenarioMetrics MetricsAggregator::aggregate(
   return finalize(total);
 }
 
+template <typename Result>
 SliceSum<SourceContribution> MetricsAggregator::contributions(
-    const Overlay& overlay, std::span<const SourcePathSet> results,
+    const Overlay& overlay, const std::vector<Result>& results,
     std::size_t threads) const {
   ScratchPool pool(*this);
   return SliceSum<SourceContribution>(
       paths::map_indices(results.size(), threads, [&](std::size_t i) {
-        return pool.contribution(overlay, results[i]);
+        return pool.contribution(overlay, path_set(results[i]));
       }));
 }
 
+template <typename Result>
 SourceContribution MetricsAggregator::whatif_total(
-    const SweepRunner<SourcePathSet>& runner,
+    const SweepRunner<Result>& runner,
     const SliceSum<SourceContribution>& state, const Delta& delta,
     std::size_t threads, SweepStats* stats) const {
   ScratchPool pool(*this);
@@ -437,5 +428,18 @@ SourceContribution MetricsAggregator::whatif_total(
       dirty, threads, stats);
   return state.spliced(dirty.positions, dirty.results);
 }
+
+// The two cached shapes: by value (panagree-sweep, the optimizer) and
+// shared (the serving engine).
+template SliceSum<SourceContribution> MetricsAggregator::contributions(
+    const Overlay&, const std::vector<SourcePathSet>&, std::size_t) const;
+template SliceSum<SourceContribution> MetricsAggregator::contributions(
+    const Overlay&, const std::vector<SharedPathSet>&, std::size_t) const;
+template SourceContribution MetricsAggregator::whatif_total(
+    const SweepRunner<SourcePathSet>&, const SliceSum<SourceContribution>&,
+    const Delta&, std::size_t, SweepStats*) const;
+template SourceContribution MetricsAggregator::whatif_total(
+    const SweepRunner<SharedPathSet>&, const SliceSum<SourceContribution>&,
+    const Delta&, std::size_t, SweepStats*) const;
 
 }  // namespace panagree::scenario

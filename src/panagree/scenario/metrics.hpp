@@ -47,6 +47,8 @@
 #include <deque>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -69,7 +71,9 @@ namespace panagree::scenario {
 /// but correctness does not depend on it: a run starts whenever the mid
 /// changes, and at the GRC/MA boundary. grc() and ma() are read-only
 /// ranges yielding diversity::Length3Path values. SweepRunner caches one
-/// of these per source, and every rebase and optimizer clone copies it.
+/// of these per source: by value in the optimizer's search states, which
+/// copy it with every clone, and behind a SharedPathSet in the serving
+/// engine, whose states share every set a rebase leaves clean.
 class SourcePathSet {
   /// One hop: the set's destinations from the previous run's end up to
   /// `end` all go through `mid`.
@@ -228,6 +232,10 @@ class SourcePathSet {
   std::vector<Run> runs_;
   std::vector<AsId> dsts_;
 };
+
+/// A cached SourcePathSet under shared immutable ownership: copying a
+/// SweepRunner<SharedPathSet> copies one pointer per source, not the sets.
+using SharedPathSet = std::shared_ptr<const SourcePathSet>;
 
 /// Enumerates the §VI length-3 path sets of `src` over the overlaid
 /// topology. On an empty overlay this reproduces
@@ -512,17 +520,21 @@ class MetricsAggregator {
   }
 
   /// The contributions of a state's per-source path sets over its
-  /// `overlay`, computed on up to `threads` workers.
+  /// `overlay`, computed on up to `threads` workers. `Result` is the
+  /// runner's cached type: SourcePathSet or SharedPathSet.
+  template <typename Result>
   [[nodiscard]] SliceSum<SourceContribution> contributions(
-      const Overlay& overlay, std::span<const SourcePathSet> results,
+      const Overlay& overlay, const std::vector<Result>& results,
       std::size_t threads) const;
 
   /// The total contribution of `delta` on top of `runner`'s state, whose
   /// contributions are `state`: the delta's dirty sources, enumerated and
   /// contributed on up to `threads` workers, spliced into `state`. Its
-  /// finalize() is, to the bit, aggregate() of a full recompute.
+  /// finalize() is, to the bit, aggregate() of a full recompute. `Result`
+  /// is SourcePathSet or SharedPathSet.
+  template <typename Result>
   [[nodiscard]] SourceContribution whatif_total(
-      const SweepRunner<SourcePathSet>& runner,
+      const SweepRunner<Result>& runner,
       const SliceSum<SourceContribution>& state, const Delta& delta,
       std::size_t threads, SweepStats* stats = nullptr) const;
 
@@ -583,6 +595,26 @@ class MetricsAggregator {
   /// max_facilities_per_link the topology was built with); the generator
   /// default when the base graph stores none.
   std::size_t max_estimated_facilities_ = 3;
+};
+
+/// The Scratches of one parallel fold. A worker borrows one per source
+/// and hands it back, so a fan-out allocates at most one per worker (each
+/// holds a slot per AS), and all of them are freed with the pool.
+class ScratchPool {
+ public:
+  explicit ScratchPool(const MetricsAggregator& aggregator)
+      : aggregator_(&aggregator) {}
+
+  /// MetricsAggregator::contribution on a borrowed Scratch; callable
+  /// concurrently.
+  [[nodiscard]] SourceContribution contribution(const Overlay& overlay,
+                                                const SourcePathSet& result);
+
+ private:
+  const MetricsAggregator* aggregator_;
+  std::mutex mutex_;
+  std::deque<MetricsAggregator::Scratch> all_;  // stable addresses
+  std::vector<MetricsAggregator::Scratch*> idle_;
 };
 
 }  // namespace panagree::scenario

@@ -36,10 +36,13 @@
 // hop, one u32 destination per path - so the runner's cache holds two
 // flat arrays per source at ~4 bytes a path: 14.0 MB for the 3.64M paths
 // of 500 sources on the 3000-AS fixture, where {src, mid, dst} triples
-// took 41.6 MB. A copied runner (the serving engine's copy-on-rebase,
-// the optimizer's search states) copies all of it. Scorers do not read
-// the cache per scenario: they keep per-source additive slices of it
-// (scenario::SliceSum in metrics.hpp) and splice in the dirty sources'.
+// took 41.6 MB. A copied runner copies its Result vector: the optimizer's
+// search states copy every set, while the serving engine caches
+// scenario::SharedPathSet (SweepRunner<SharedPathSet>), so its
+// copy-on-rebase copies a pointer per source and shares the sets a step
+// leaves clean. Scorers do not read the cache per scenario: they keep
+// per-source additive slices of it (scenario::SliceSum in metrics.hpp)
+// and splice in the dirty sources'.
 //
 // Deployment *programs* (ordered step sequences, scenario::Program) ride
 // on the same machinery: rebase() folds a committed step into the cached

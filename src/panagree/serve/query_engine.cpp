@@ -62,6 +62,12 @@ scenario::SourcePathSet enumerate(const scenario::Overlay& overlay,
   return scenario::enumerate_length3(overlay, src);
 }
 
+scenario::SharedPathSet enumerate_shared(const scenario::Overlay& overlay,
+                                         AsId src) {
+  return std::make_shared<const scenario::SourcePathSet>(
+      scenario::enumerate_length3(overlay, src));
+}
+
 /// Wall clock of the prime phases. Not stage_now_ns: the readiness line
 /// reports these even when the obs layer is compiled out.
 [[nodiscard]] std::uint64_t steady_ns() {
@@ -165,20 +171,22 @@ std::string canonical_delta_key(const scenario::Delta& delta) {
 /// The immutable unit the shared_mutex guards: one primed runner cache,
 /// the overlay of its composed state, and the additive per-source
 /// contributions that make whatif scoring an O(sources) splice. rebase()
-/// copies, mutates the copy, and swaps - readers keep old snapshots
-/// alive through the shared_ptr.
+/// copies, splices the step's dirty sources into the copy, and swaps -
+/// readers keep old snapshots alive through the shared_ptr. The cached
+/// path sets are shared between states, so a copy costs a pointer per
+/// source.
 struct QueryEngine::State {
   State(const topology::CompiledTopology& base, std::vector<AsId> sources,
         scenario::SweepConfig config)
       : runner(base, std::move(sources), config), overlay(base) {}
 
-  scenario::SweepRunner<scenario::SourcePathSet> runner;
+  scenario::SweepRunner<scenario::SharedPathSet> runner;
   scenario::Overlay overlay;
   scenario::SliceSum<scenario::SourceContribution> contribs;
   scenario::ScenarioMetrics metrics;
 
-  /// Recomputes contribs/metrics from the runner's cache (after prime or
-  /// rebase) and returns the wall time it took. The per-source kernel
+  /// Folds contribs/metrics from the runner's cache (prime only; a rebase
+  /// splices) and returns the wall time it took. The per-source kernel
   /// fans out over the engine's workers; the total is then summed
   /// serially in source order, so the bytes never depend on the thread
   /// count.
@@ -197,8 +205,8 @@ struct QueryEngine::State {
   /// Heap bytes, by capacity, of the cached path sets.
   [[nodiscard]] std::int64_t path_cache_bytes() const {
     std::size_t bytes = 0;
-    for (const scenario::SourcePathSet& sets : runner.baseline()) {
-      bytes += sets.heap_bytes();
+    for (const scenario::SharedPathSet& set : runner.baseline()) {
+      bytes += set->heap_bytes();
     }
     return static_cast<std::int64_t>(bytes);
   }
@@ -236,7 +244,7 @@ PrimeTiming QueryEngine::prime() {
   auto state = std::make_shared<State>(*base_, sources_, sweep);
   PrimeTiming timing;
   const std::uint64_t start = steady_ns();
-  state->runner.prime(enumerate);
+  state->runner.prime(enumerate_shared);
   timing.enumerate_ns = steady_ns() - start;
   timing.fold_ns = state->refresh_contributions(aggregator_, config_);
   engine_metrics().path_cache_bytes.set(state->path_cache_bytes());
@@ -265,7 +273,7 @@ void QueryEngine::paths(AsId src, const PathsSink& sink) const {
   const auto it = source_index_.find(src);
   if (it != source_index_.end()) {
     engine_metrics().paths_cache_hits.increment();
-    sink(state->runner.baseline()[it->second]);
+    sink(*state->runner.baseline()[it->second]);
     return;
   }
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
@@ -373,13 +381,35 @@ WhatIfResult QueryEngine::whatif(const scenario::Delta& delta) const {
 std::uint64_t QueryEngine::rebase(const scenario::Delta& step) {
   const std::lock_guard<std::mutex> writer(rebase_mutex_);
   const std::shared_ptr<const State> current = snapshot();
-  // Copy-on-rebase: the expensive work happens on a private clone while
-  // readers keep serving the old snapshot.
+  // Only the step's dirty sources are enumerated and contributed, once,
+  // on the engine's workers, while readers keep serving the current
+  // state. A rejected step throws here, before anything changes.
+  std::vector<std::size_t> positions;
+  std::vector<scenario::SharedPathSet> sets;
+  std::vector<scenario::SourceContribution> contribs;
+  scenario::ScratchPool pool(aggregator_);
+  current->runner.evaluate_dirty_visit(
+      step,
+      [&](const scenario::Overlay& overlay, AsId src) {
+        scenario::SharedPathSet set = enumerate_shared(overlay, src);
+        const scenario::SourceContribution contribution =
+            pool.contribution(overlay, *set);
+        return std::pair(std::move(set), contribution);
+      },
+      [&](std::size_t position, const scenario::Overlay&, auto fresh) {
+        positions.push_back(position);
+        sets.push_back(std::move(fresh.first));
+        contribs.push_back(fresh.second);
+      },
+      config_.threads);
+  // Copy-on-rebase: the copy shares every clean path set, and the dirty
+  // slots are spliced in, their contributions summed in source order.
   auto next = std::make_shared<State>(*current);
-  next->runner.rebase(step, enumerate);
+  next->runner.rebase_adopted(step, positions, std::move(sets));
+  next->contribs.adopt(positions, contribs);
+  next->metrics = scenario::finalize(next->contribs.total());
   next->overlay.clear();
   next->overlay.apply(next->runner.state());
-  next->refresh_contributions(aggregator_, config_);
   engine_metrics().path_cache_bytes.set(next->path_cache_bytes());
   std::uint64_t epoch = 0;
   {

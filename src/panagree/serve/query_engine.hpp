@@ -33,11 +33,16 @@
 // std::shared_mutex as an immutable shared_ptr snapshot; readers take the
 // shared lock only long enough to copy the pointer and then work lock-free
 // on their snapshot. rebase() (committing a deployment program step) is
-// copy-on-rebase: it clones the state, folds the step into the clone's
-// cache (recomputing only the step's invalidation ball), and swaps the
-// pointer and bumps the epoch under the exclusive lock - in-flight
-// readers keep their old snapshot alive, so readers never block on a
-// rebase and every request is answered wholly from one epoch.
+// copy-on-rebase and O(dirty): it enumerates and contributes only the
+// step's dirty sources - once, on up to EngineConfig::threads workers,
+// like a what-if - then copies the state, which shares every clean
+// source's path set (scenario::SharedPathSet) and so costs a pointer per
+// source, splices the dirty sets and contributions into the copy
+// (SweepRunner::rebase_adopted, SliceSum::adopt, summing in source
+// order), and swaps the pointer and bumps the epoch under the exclusive
+// lock - in-flight readers keep their old snapshot alive, so readers
+// never block on a rebase and every request is answered wholly from one
+// epoch.
 //
 // Epoch batching: concurrent whatif requests for the same delta share one
 // enumeration. The first requester installs a shared future keyed by the
@@ -146,8 +151,8 @@ void finish_request_observation(const RequestStages& stages);
 
 struct EngineConfig {
   /// Worker threads of the per-source fan-outs (0 = one per allowed
-  /// cpu): prime()/rebase() path enumeration and contribution refold,
-  /// and the dirty sources of one what-if. Everything else a request
+  /// cpu): prime()'s path enumeration and contribution fold, and the
+  /// dirty sources of one what-if or rebase. Everything else a request
   /// does runs on the caller's thread.
   std::size_t threads = 0;
   /// Bound on memoized what-if evaluations per epoch (the epoch batch):
@@ -222,9 +227,10 @@ class QueryEngine {
   [[nodiscard]] WhatIfResult whatif(const scenario::Delta& delta) const;
 
   /// Folds a committed deployment step into the served state
-  /// (copy-on-rebase; see the header comment) and returns the new epoch.
-  /// Readers are never blocked for the duration of the recompute, only
-  /// for the pointer swap. A step the state overlay rejects throws
+  /// (copy-on-rebase, splicing only the step's dirty sources; see the
+  /// header comment) and returns the new epoch. Readers are never
+  /// blocked for the duration of the recompute, only for the pointer
+  /// swap. A step the state overlay rejects throws
   /// util::PreconditionError and leaves state and epoch unchanged.
   std::uint64_t rebase(const scenario::Delta& step);
 

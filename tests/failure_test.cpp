@@ -222,6 +222,7 @@ TEST(CountDiversity, MatchesASetBasedRecount) {
     refs.push_back(&sets);
   }
   const DiversityCounts counts = count_diversity(refs);
+  EXPECT_EQ(diversity_counts(runner).total(), counts);
 
   std::size_t grc_paths = 0;
   std::size_t ma_paths = 0;
@@ -257,7 +258,16 @@ TEST(FailureDiversity, RequiresAPrimedRunner) {
   const CompiledTopology c(g);
   SweepRunner<SourcePathSet> runner(c, {0, 1}, SweepConfig{});
   const FailureSets sets = failure_sets(c, 1, 0, 1);
-  EXPECT_THROW((void)failure_diversity(runner, Delta{}, sets.sets),
+  EXPECT_THROW((void)diversity_counts(runner), util::PreconditionError);
+  EXPECT_THROW((void)failure_diversity(runner, SliceSum<DiversityCounts>{},
+                                       Delta{}, sets.sets),
+               util::PreconditionError);
+  // Primed, but with counts of another source sample.
+  runner.prime([](const Overlay& overlay, AsId src) {
+    return enumerate_length3(overlay, src);
+  });
+  EXPECT_THROW((void)failure_diversity(runner, SliceSum<DiversityCounts>{},
+                                       Delta{}, sets.sets),
                util::PreconditionError);
 }
 
@@ -280,10 +290,12 @@ TEST(FailureDiversity, EqualsBruteForceRecompileOfEveryFailedGraph) {
   std::vector<Delta> deployments;
   deployments.push_back(Delta{});  // the do-nothing baseline
   deployments.push_back(candidates.front());
+  // The state is counted once for every deployment.
+  const SliceSum<DiversityCounts> counts = diversity_counts(runner);
 
   for (const Delta& deployment : deployments) {
     const FailureDiversity fast =
-        failure_diversity(runner, deployment, failures.sets);
+        failure_diversity(runner, counts, deployment, failures.sets);
 
     // Brute force: recompile each failed graph from scratch and enumerate
     // every source on it.
@@ -345,8 +357,9 @@ TEST(FailureDiversity, ByteIdenticalAtEveryThreadCount) {
     runner.prime([](const Overlay& overlay, AsId src) {
       return enumerate_length3(overlay, src);
     });
-    per_thread.push_back(
-        failure_diversity(runner, candidates.front(), failures.sets));
+    per_thread.push_back(failure_diversity(runner, diversity_counts(runner),
+                                           candidates.front(),
+                                           failures.sets));
   }
   for (std::size_t i = 1; i < per_thread.size(); ++i) {
     EXPECT_EQ(per_thread[i].min, per_thread[0].min);

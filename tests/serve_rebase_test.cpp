@@ -2,12 +2,16 @@
 // a what-if spreads its dirty sources over the engine's workers, so a
 // scripted session (rebase included) must answer the same bytes at 1, 2
 // and 8 engine threads, directly and through a Server at 1, 2 and 8
-// workers; and a reader racing a rebase must see the old bytes or the
-// new bytes, never a third pattern.
+// workers; a reader racing a rebase must see the old bytes or the new
+// bytes, never a third pattern; and a rebase splices only its step's
+// dirty sources, so after every step of a randomized deployment program
+// the engine must serve exactly what a full refold of the composed state
+// computes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +26,7 @@
 #include "panagree/serve/server.hpp"
 #include "panagree/serve/wire.hpp"
 #include "panagree/topology/generator.hpp"
+#include "panagree/util/rng.hpp"
 
 namespace panagree::serve {
 namespace {
@@ -412,6 +417,173 @@ TEST(QueryEngine, ConcurrentRebaseServesOldOrNewBytes) {
   // Settled state serves the post-rebase bytes.
   for (const Probe& probe : probes) {
     EXPECT_EQ(answer(*engine, probe.line), probe.after);
+  }
+}
+
+// ----------------------------------- randomized rebase programs
+
+/// A randomized deployment program over the fixture and, per step, a
+/// what-if that is valid on top of it.
+struct RandomProgram {
+  std::vector<scenario::Delta> steps;
+  std::vector<scenario::Delta> probes;
+  /// How many steps of each kind: add, base-link removal, rewire, hub.
+  std::size_t kinds[4] = {0, 0, 0, 0};
+};
+
+/// `size` steps, each a candidate peering add, the removal of a base link
+/// still up, a rewire (an earlier-added link removed, another added) or,
+/// once, the fixture's hub_delta() (the hub links still up); every step is
+/// valid on the program so far.
+RandomProgram random_program(const RebaseFixture& f, std::uint64_t seed,
+                             std::size_t size) {
+  util::Rng rng(seed);
+  const std::vector<scenario::Delta> pool = f.candidates(200);
+  const auto& links = f.topo_.graph.links();
+  const std::size_t hub_step = 4 + rng.uniform_index(size - 8);
+  RandomProgram program;
+  scenario::Delta composed;
+  scenario::Overlay view(*f.compiled_);
+  // A pool candidate whose pair is unlinked in the current state.
+  const auto fresh_add = [&] {
+    for (;;) {
+      const scenario::LinkChange& add =
+          pool[rng.uniform_index(pool.size())].add.front();
+      if (!view.role_of(add.a, add.b).has_value()) {
+        return add;
+      }
+    }
+  };
+  while (program.steps.size() < size) {
+    scenario::Delta step;
+    std::size_t kind = program.steps.size() == hub_step
+                           ? 3
+                           : rng.uniform_index(3);
+    if (kind == 2 && composed.add.empty()) {
+      kind = 0;
+    }
+    if (kind == 0) {
+      step.add.push_back(fresh_add());
+    } else if (kind == 1) {
+      for (;;) {
+        const topology::Link& link = links[rng.uniform_index(links.size())];
+        if (view.role_of(link.a, link.b).has_value()) {
+          step.remove.emplace_back(link.a, link.b);
+          break;
+        }
+      }
+    } else if (kind == 2) {
+      const scenario::LinkChange& old =
+          composed.add[rng.uniform_index(composed.add.size())];
+      step.remove.emplace_back(old.a, old.b);
+      step.add.push_back(fresh_add());
+    } else {
+      // Every hub link an earlier removal left up.
+      for (const auto& [x, y] : f.hub_delta().remove) {
+        if (view.role_of(x, y).has_value()) {
+          step.remove.emplace_back(x, y);
+        }
+      }
+    }
+    composed = scenario::compose(composed, step);
+    view.clear();
+    view.apply(composed);
+    ++program.kinds[kind];
+    program.steps.push_back(std::move(step));
+    scenario::Delta probe;
+    probe.add.push_back(fresh_add());
+    program.probes.push_back(std::move(probe));
+  }
+  return program;
+}
+
+template <typename T>
+[[nodiscard]] bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Checks `engine` against a full refold of `composed`: every sampled
+/// source's paths equal a fresh enumeration, its diversity the
+/// contribution of that enumeration, to the bit, and the state metrics
+/// the finalized in-order sum of those contributions.
+void expect_full_refold(const RebaseFixture& f, const QueryEngine& engine,
+                        const scenario::MetricsAggregator& aggregator,
+                        const scenario::Delta& composed,
+                        const std::string& where) {
+  scenario::Overlay overlay(*f.compiled_);
+  overlay.apply(composed);
+  scenario::SourceContribution total;
+  for (const AsId src : f.sources_) {
+    const scenario::SourcePathSet fresh =
+        scenario::enumerate_length3(overlay, src);
+    engine.paths(src, [&](const scenario::SourcePathSet& sets) {
+      EXPECT_TRUE(sets == fresh) << where << ", paths of " << src;
+    });
+    const scenario::SourceContribution refold =
+        aggregator.contribution(overlay, fresh);
+    total += refold;
+    const double mean_km =
+        refold.km_pairs > 0
+            ? refold.km_sum / static_cast<double>(refold.km_pairs)
+            : 0.0;
+    const DiversityResult got = engine.diversity(src);
+    EXPECT_TRUE(same_bytes(got.grc_paths, refold.grc_paths) &&
+                same_bytes(got.ma_paths, refold.ma_paths) &&
+                same_bytes(got.grc_pairs, refold.grc_pairs) &&
+                same_bytes(got.ma_extra_pairs, refold.ma_extra_pairs) &&
+                same_bytes(got.mean_best_geodistance_km, mean_km) &&
+                same_bytes(got.transit_fees, refold.transit_fees))
+        << where << ", diversity of " << src;
+  }
+  const scenario::ScenarioMetrics expected = scenario::finalize(total);
+  const scenario::ScenarioMetrics got = engine.state_metrics();
+  EXPECT_TRUE(same_bytes(got.grc_paths, expected.grc_paths) &&
+              same_bytes(got.ma_paths, expected.ma_paths) &&
+              same_bytes(got.grc_pairs, expected.grc_pairs) &&
+              same_bytes(got.ma_extra_pairs, expected.ma_extra_pairs) &&
+              same_bytes(got.mean_best_geodistance_km,
+                         expected.mean_best_geodistance_km) &&
+              same_bytes(got.transit_fees, expected.transit_fees))
+      << where << ", state metrics";
+}
+
+TEST(QueryEngine, RandomRebaseProgramsMatchAFullRefold) {
+  const RebaseFixture& f = fixture();
+  const scenario::MetricsAggregator aggregator(*f.compiled_, &f.topo_.world,
+                                               &*f.economy_);
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const RandomProgram program = random_program(f, seed, 24);
+    for (const std::size_t count : program.kinds) {
+      ASSERT_GT(count, 0u) << "seed " << seed << " misses a step kind";
+    }
+    std::vector<std::string> transcripts;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      const auto engine = f.make_engine(threads);
+      std::string transcript;
+      scenario::Delta composed;
+      std::uint64_t id = 0;
+      for (std::size_t k = 0; k < program.steps.size(); ++k) {
+        const std::string where = "seed " + std::to_string(seed) + ", " +
+                                  std::to_string(threads) +
+                                  " threads, after step " +
+                                  std::to_string(k + 1);
+        engine->handle_line(delta_request("rebase", ++id, program.steps[k]),
+                            transcript);
+        composed = scenario::compose(composed, program.steps[k]);
+        expect_full_refold(f, *engine, aggregator, composed, where);
+        engine->handle_line(delta_request("whatif", ++id, program.probes[k]),
+                            transcript);
+        const AsId src = f.sources_[k % f.sources_.size()];
+        engine->handle_line(source_request("paths", ++id, src), transcript);
+        engine->handle_line(source_request("diversity", ++id, src),
+                            transcript);
+      }
+      EXPECT_EQ(engine->epoch(), program.steps.size());
+      EXPECT_EQ(transcript.find("\"ok\":false"), std::string::npos);
+      transcripts.push_back(std::move(transcript));
+    }
+    EXPECT_EQ(transcripts[1], transcripts[0]) << "seed " << seed << ", 2 threads";
+    EXPECT_EQ(transcripts[2], transcripts[0]) << "seed " << seed << ", 8 threads";
   }
 }
 

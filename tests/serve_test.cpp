@@ -635,9 +635,9 @@ std::string refold_transcript(const ServeFixture& f, QueryEngine& engine,
   return out;
 }
 
-/// The parallel refold (prime and rebase) serves the same bytes at any
-/// engine thread count. The fixture's 40 sources exceed the driver's
-/// serial threshold, so threads > 1 really fan out.
+/// Prime's parallel fold and a rebase's spliced state serve the same
+/// bytes at any engine thread count. The fixture's 40 sources exceed the
+/// driver's serial threshold, so threads > 1 really fan out.
 TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
   const ServeFixture& f = fixture();
   ASSERT_GT(f.sources_.size(), paths::kMinParallelSources);
@@ -666,7 +666,7 @@ TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(primed[i], primed[0]) << "thread config " << i;
     EXPECT_EQ(rebased[i], rebased[0]) << "thread config " << i;
   }
-  // The rebase moved the state, so the comparison covers two refolds.
+  // The rebase moved the state, so the comparison covers two states.
   EXPECT_NE(rebased[0], primed[0]);
 }
 

@@ -12,16 +12,18 @@
 // accepted request is answered before exit.
 //
 // One serve::QueryEngine answers every kind, the admin `rebase`
-// included (copy-on-rebase epochs). Priming enumerates every sampled
-// source's paths and folds its contribution; the readiness line ends
-// with the wall time of both phases (enumerate_ms=, fold_ms=).
+// included (copy-on-rebase epochs: a rebase enumerates and contributes
+// only its step's dirty sources and shares every clean path set with
+// the previous epoch). Priming enumerates every sampled source's paths
+// and folds its contribution; the readiness line ends with the wall time
+// of both phases (enumerate_ms=, fold_ms=).
 //
 // --port 0 binds an ephemeral port; the chosen port is in the
 // "listening" line. That line goes to *stdout* (everything else to
 // stderr) as the machine-readable readiness signal scripts wait for.
 //
-// --threads drives the prime/rebase fan-out, the spread of one what-if's
-// dirty sources and the worker pool (0 = one per cpu the process may run
+// --threads drives the prime fan-out, the spread of one what-if's or
+// rebase's dirty sources and the worker pool (0 = one per cpu the process may run
 // on); --max-batch bounds the
 // per-epoch what-if memo (concurrent identical what-ifs share one
 // enumeration); --sources is the cached sample size (the paper's 500 by

@@ -39,9 +39,11 @@
 // candidate also reports its deployment churn - next-hop changes and
 // convergence rounds of the dynamics::converge fixpoint over a
 // destination sample. The failure modes exclude each other and
-// --optimize (exit 2 before any topology is loaded). Output is a pure
-// function of the topology and flags: --threads only changes wall-clock
-// time (CI diffs the bytes at 1 and 4 threads).
+// --optimize, and --steps, --beam, --no-share without --optimize or
+// --samples without a failure mode are usage errors too (exit 2 before
+// any topology is loaded). Output is a pure function of the topology and
+// flags: --threads only changes wall-clock time (CI diffs the bytes at 1
+// and 4 threads).
 //
 // Environment (see bench_common.hpp): PANAGREE_ASES, PANAGREE_SOURCES,
 // PANAGREE_THREADS, and PANAGREE_CAIDA to sweep a real CAIDA as-rel2
@@ -116,6 +118,8 @@ bool parse_args(int argc, char** argv, Options& options) {
                            cli::require_value(kTool, flag, argc, argv, i));
   };
   std::size_t positional = 0;
+  bool optimizer_flag = false;  // --steps, --beam or --no-share
+  bool samples_flag = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
@@ -133,8 +137,10 @@ bool parse_args(int argc, char** argv, Options& options) {
       }
     } else if (arg == "--steps") {
       options.max_steps = number(arg, i);
+      optimizer_flag = true;
     } else if (arg == "--beam") {
       options.beam_width = number(arg, i);
+      optimizer_flag = true;
     } else if (arg == "--failures") {
       options.failures = number(arg, i);
       if (options.failures == 0) {
@@ -144,12 +150,14 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.fail_ases = true;
     } else if (arg == "--samples") {
       options.samples = number(arg, i);
+      samples_flag = true;
     } else if (arg == "--snapshot") {
       options.snapshot = cli::require_value(kTool, arg, argc, argv, i);
     } else if (arg == "--threads") {
       options.threads = cli::parse_threads(kTool, argc, argv, i);
     } else if (arg == "--no-share") {
       options.share = false;
+      optimizer_flag = true;
     } else if (arg.rfind("--", 0) == 0) {
       return false;  // unknown option
     } else if (positional == 0) {
@@ -165,11 +173,14 @@ bool parse_args(int argc, char** argv, Options& options) {
       return false;
     }
   }
-  // One mode at a time: one failure universe, and the failure ranking has
-  // no --optimize form. Rejected here, before any topology is loaded.
+  // One mode at a time: one failure universe, the failure ranking has no
+  // --optimize form, and a mode's flags are not accepted without it.
+  // Rejected here, before any topology is loaded.
   const bool failure_mode = options.failures > 0 || options.fail_ases;
   return !(options.failures > 0 && options.fail_ases) &&
-         !(options.optimize && failure_mode);
+         !(options.optimize && failure_mode) &&
+         (options.optimize || !optimizer_flag) &&
+         (failure_mode || !samples_flag);
 }
 
 std::string describe(const scenario::Delta& delta) {
@@ -249,13 +260,13 @@ int run_failure_sweep(const Options& options,
     return 1;
   }
 
-  // Steady-state baseline + its diversity under the same failure sets.
-  scenario::DiversityCounts base_counts;
-  for (const scenario::SourcePathSet& sets : runner.baseline()) {
-    base_counts += scenario::count_diversity(sets);
-  }
-  const scenario::FailureDiversity base_fd =
-      scenario::failure_diversity(runner, scenario::Delta{}, failure.sets);
+  // Steady-state baseline, counted once, and its diversity under the same
+  // failure sets.
+  const scenario::SliceSum<scenario::DiversityCounts> counts =
+      scenario::diversity_counts(runner);
+  const scenario::DiversityCounts& base_counts = counts.total();
+  const scenario::FailureDiversity base_fd = scenario::failure_diversity(
+      runner, counts, scenario::Delta{}, failure.sets);
 
   // Converged routing tables of a small destination sample - the before
   // side of every candidate's churn report.
@@ -284,8 +295,8 @@ int run_failure_sweep(const Options& options,
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     Ranked entry;
     entry.scenario = i;
-    entry.fd =
-        scenario::failure_diversity(runner, candidates[i], failure.sets);
+    entry.fd = scenario::failure_diversity(runner, counts, candidates[i],
+                                           failure.sets);
     scenario::Overlay overlay(compiled);
     overlay.apply(candidates[i]);
     const dynamics::RoutingSnapshot routes =
