@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -651,7 +652,9 @@ BENCHMARK(BM_SnapshotLoad_EmbedRecompile)->Unit(benchmark::kMillisecond);
 // serve::QueryEngine over the 3000-AS fixture and the shared 500-source
 // sample. CachedSource measures the request fast path (sampled source
 // served zero-copy: the cached SourcePathSet itself goes to the sink -
-// this is what the pinned bench suite gates); ColdSource the on-the-fly
+// this is what the pinned bench suite gates; `cache_bytes` is the summed
+// heap_bytes() of the cached sets, the engine.path_cache_bytes gauge, a
+// fingerprint of the cache layout); ColdSource the on-the-fly
 // enumeration of an unsampled source; WhatIfBatched/T the incremental
 // what-if scoring of 100 candidate deployments on an engine with T
 // threads, which spread each what-if's dirty sources (memo flushed per
@@ -704,6 +707,13 @@ void BM_QueryEngine_CachedSource(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.counters["checksum"] = static_cast<double>(checksum);
+  std::size_t cache_bytes = 0;
+  for (const topology::AsId src : sources) {
+    engine.paths(src, [&](const scenario::SourcePathSet& sets) {
+      cache_bytes += sets.heap_bytes();
+    });
+  }
+  state.counters["cache_bytes"] = static_cast<double>(cache_bytes);
 }
 BENCHMARK(BM_QueryEngine_CachedSource);
 
@@ -867,6 +877,40 @@ void BM_Metrics_Contribution(benchmark::State& state) {
   state.counters["km_fee_sum"] = km_fee_sum;
 }
 BENCHMARK(BM_Metrics_Contribution)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------- paths serializer
+//
+// serve::append_paths_response of one cached source, read straight from
+// its SourcePathSet: the median-size and the largest of the 500 primed
+// sources (by path count, ties to the earlier source). The buffer keeps
+// its capacity across iterations, so the row times the writer, not the
+// allocator. `response_bytes` is the exact response length, a
+// fingerprint of the wire bytes.
+
+void BM_Wire_PathsSerialize(benchmark::State& state, bool largest) {
+  const std::vector<scenario::SourcePathSet>& sets = primed_path_sets();
+  std::vector<std::size_t> order(sets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::stable_sort(order, {}, [&](std::size_t i) {
+    return sets[i].grc().size() + sets[i].ma().size();
+  });
+  const scenario::SourcePathSet& set =
+      sets[largest ? order.back() : order[order.size() / 2]];
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    serve::append_paths_response(out, 1, set.source(), set);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+  state.counters["response_bytes"] = static_cast<double>(out.size());
+}
+BENCHMARK_CAPTURE(BM_Wire_PathsSerialize, median, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Wire_PathsSerialize, largest, true)
+    ->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------- parallel driver
 //

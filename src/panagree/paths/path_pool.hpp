@@ -13,7 +13,8 @@
 //   * bgp::SppInstance interns every permitted path here and hands out
 //     PathListView/PathView windows instead of vector references.
 // (scenario::SourcePathSet, the sweep cache's unit, stores its length-3
-// paths run-length over hops instead; see scenario/metrics.hpp.)
+// paths run-length over hops and gap-coded instead; see
+// scenario/metrics.hpp.)
 #pragma once
 
 #include <algorithm>

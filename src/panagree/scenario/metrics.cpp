@@ -41,6 +41,12 @@ SourceContribution ScratchPool::contribution(const Overlay& overlay,
     scratch = idle_.back();
     idle_.pop_back();
   }
+  // A pool can outlive any number of overlays, and an overlay's address
+  // repeats across folds (a what-if's is a stack local), so the
+  // address check in contribution() alone would let the memo grow for
+  // the pool's life.
+  scratch->overlay_ = nullptr;
+  scratch->added_legs_.clear();
   const SourceContribution out =
       aggregator_->contribution(overlay, result, *scratch);
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -325,7 +331,8 @@ SourceContribution MetricsAggregator::contribution(
   // and each path's geodistance is a table-driven facility minimum.
   const AsId src = result.source();
   const auto fold = [&](const SourcePathSet::Paths& paths, bool grc) {
-    paths.for_each_run([&](AsId mid, std::span<const AsId> dsts) {
+    paths.for_each_run([&](AsId mid,
+                           const SourcePathSet::Destinations& dsts) {
       if (++scratch.run_stamp_ == 0) {
         std::fill(scratch.link_of_.begin(), scratch.link_of_.end(),
                   Scratch::LinkOf{});
@@ -417,8 +424,9 @@ template <typename Result>
 SourceContribution MetricsAggregator::whatif_total(
     const SweepRunner<Result>& runner,
     const SliceSum<SourceContribution>& state, const Delta& delta,
-    std::size_t threads, SweepStats* stats) const {
-  ScratchPool pool(*this);
+    ScratchPool& pool, std::size_t threads, SweepStats* stats) const {
+  util::require(&pool.aggregator() == this,
+                "MetricsAggregator::whatif_total: pool of another aggregator");
   DirtySlice<SourceContribution> dirty;
   runner.evaluate_dirty_visit(
       delta,
@@ -437,9 +445,9 @@ template SliceSum<SourceContribution> MetricsAggregator::contributions(
     const Overlay&, const std::vector<SharedPathSet>&, std::size_t) const;
 template SourceContribution MetricsAggregator::whatif_total(
     const SweepRunner<SourcePathSet>&, const SliceSum<SourceContribution>&,
-    const Delta&, std::size_t, SweepStats*) const;
+    const Delta&, ScratchPool&, std::size_t, SweepStats*) const;
 template SourceContribution MetricsAggregator::whatif_total(
     const SweepRunner<SharedPathSet>&, const SliceSum<SourceContribution>&,
-    const Delta&, std::size_t, SweepStats*) const;
+    const Delta&, ScratchPool&, std::size_t, SweepStats*) const;
 
 }  // namespace panagree::scenario

@@ -4,7 +4,8 @@
 // sets (GRC and MA) enumerated over the overlaid topology - the same
 // policies diversity::Length3Analyzer runs on the base snapshot, consulted
 // through the Overlay - held as a SourcePathSet: the source once, one
-// {mid, end} run per (source, mid) hop, one u32 destination per path.
+// run per (source, mid) hop, and the destinations gap-coded in one byte
+// stream (one byte for almost every path).
 // MetricsAggregator folds a scenario's per-source results into
 // operator-facing aggregates, walking each set's hop runs: per run it
 // scatters the mid's overlaid adjacency row into a per-AS link-id array,
@@ -44,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <iterator>
 #include <limits>
@@ -64,29 +66,122 @@ namespace panagree::scenario {
 /// the source plus every MA-only path, in engine enumeration order (so
 /// equality is byte-equality of a full recompute).
 ///
-/// Storage is run-length over hops: the source once, one Run {mid, end}
-/// per (source, mid) hop, and one u32 destination per path - 4 bytes a
-/// path where a {src, mid, dst} triple costs 12. Enumeration emits a
-/// hop's paths as one run (~330 paths per hop on the 3000-AS fixture),
-/// but correctness does not depend on it: a run starts whenever the mid
-/// changes, and at the GRC/MA boundary. grc() and ma() are read-only
-/// ranges yielding diversity::Length3Path values. SweepRunner caches one
-/// of these per source: by value in the optimizer's search states, which
-/// copy it with every clone, and behind a SharedPathSet in the serving
-/// engine, whose states share every set a rebase leaves clean.
+/// Storage is run-length over hops and gap-coded within a hop: the source
+/// once, one Run {mid, end, byte_end} per (source, mid) hop, and one byte
+/// stream of destinations. Within a run, a destination 1-255 above the
+/// previous one (above 0 at the run's start) is that one byte; any other
+/// destination is a 0 byte followed by its 4-byte id. Enumeration walks a
+/// hop's destinations along the mid's CSR row, whose role groups are each
+/// sorted by AS id, so on the 3000-AS fixture 99.3% of them take one
+/// byte: ~1.06 bytes a path, where a u32 took 4 and a {src, mid, dst}
+/// triple 12. A run starts whenever the mid changes and at the GRC/MA
+/// boundary, and any destination order encodes (descending and repeated
+/// ones take the 5-byte form), so correctness does not depend on
+/// enumeration order. grc() and ma() are read-only ranges yielding
+/// diversity::Length3Path values, decoded as they walk. SweepRunner caches
+/// one of these per source: by value in the optimizer's search states,
+/// which copy it with every clone, and behind a SharedPathSet in the
+/// serving engine, whose states share every set a rebase leaves clean.
 class SourcePathSet {
-  /// One hop: the set's destinations from the previous run's end up to
-  /// `end` all go through `mid`.
+  /// One hop: the set's paths from the previous run's end up to `end` all
+  /// go through `mid`, and their destinations are coded in the bytes from
+  /// the previous run's byte_end up to `byte_end`.
   struct Run {
     AsId mid = topology::kInvalidAs;
     std::uint32_t end = 0;
+    std::uint32_t byte_end = 0;
 
     friend bool operator==(const Run&, const Run&) = default;
   };
 
+  /// The first byte of a destination that does not fit one byte; its
+  /// 4-byte id follows.
+  static constexpr std::uint8_t kEscape = 0;
+
+  /// A position in the byte stream and the destination coded there,
+  /// decoded once on arrival (nothing is decoded at `end`).
+  struct Cursor {
+    const std::uint8_t* at = nullptr;
+    const std::uint8_t* end = nullptr;
+    AsId dst = 0;
+    /// Bytes of the code at `at`. Set on the branch that decodes, so the
+    /// next position waits on a predicted branch, not on the loaded byte.
+    std::uint32_t width = 0;
+
+    /// Decodes the destination at `at`, whose predecessor in its run is
+    /// `prev` (0 at the run's start).
+    void load(AsId prev) {
+      if (at == end) {
+        return;
+      }
+      if (*at != kEscape) {
+        dst = prev + *at;
+        width = 1;
+      } else {
+        std::memcpy(&dst, at + 1, sizeof(dst));
+        width = 1 + sizeof(AsId);
+      }
+    }
+    /// Moves to the next destination's code.
+    void skip() { at += width; }
+  };
+
  public:
-  /// Read-only range over consecutive runs of one set (grc() or ma()).
-  /// Valid while the set is alive and unmodified.
+  /// Read-only range over the destinations of one hop run, decoded as it
+  /// walks. Valid while the set is alive and unmodified.
+  class Destinations {
+   public:
+    class iterator {
+     public:
+      using iterator_concept = std::forward_iterator_tag;
+      using iterator_category = std::input_iterator_tag;
+      using value_type = AsId;
+      using difference_type = std::ptrdiff_t;
+
+      iterator() = default;
+      [[nodiscard]] AsId operator*() const { return cursor_.dst; }
+      iterator& operator++() {
+        cursor_.skip();
+        cursor_.load(cursor_.dst);
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      /// Iterators of one range compare by position.
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.cursor_.at == b.cursor_.at;
+      }
+
+     private:
+      friend class Destinations;
+      iterator(const std::uint8_t* at, const std::uint8_t* end)
+          : cursor_{at, end} {
+        cursor_.load(0);
+      }
+
+      Cursor cursor_;
+    };
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] iterator begin() const { return {begin_, end_}; }
+    [[nodiscard]] iterator end() const { return {end_, end_}; }
+
+   private:
+    friend class SourcePathSet;
+    Destinations(const std::uint8_t* begin, const std::uint8_t* end,
+                 std::uint32_t size)
+        : begin_(begin), end_(end), size_(size) {}
+
+    const std::uint8_t* begin_;
+    const std::uint8_t* end_;
+    std::uint32_t size_;
+  };
+
+  /// Read-only range over consecutive runs of one set (grc() or ma()),
+  /// decoded as it walks. Valid while the set is alive and unmodified.
   class Paths {
    public:
     class iterator {
@@ -98,11 +193,15 @@ class SourcePathSet {
 
       iterator() = default;
       [[nodiscard]] diversity::Length3Path operator*() const {
-        return {source_, run_->mid, dsts_[index_]};
+        return {source_, mid_, cursor_.dst};
       }
       iterator& operator++() {
-        if (++index_ == run_->end) {
+        cursor_.skip();
+        if (cursor_.at != run_end_) {
+          cursor_.load(cursor_.dst);
+        } else {
           ++run_;
+          enter_run();
         }
         return *this;
       }
@@ -113,55 +212,79 @@ class SourcePathSet {
       }
       /// Iterators of one range compare by position.
       friend bool operator==(const iterator& a, const iterator& b) {
-        return a.index_ == b.index_;
+        return a.cursor_.at == b.cursor_.at;
       }
 
      private:
       friend class Paths;
-      iterator(AsId source, const Run* run, const AsId* dsts,
-               std::uint32_t index)
-          : source_(source), run_(run), dsts_(dsts), index_(index) {}
+      iterator(AsId source, const Run* run, const std::uint8_t* bytes,
+               std::uint32_t at, std::uint32_t end)
+          : source_(source),
+            run_(run),
+            bytes_(bytes),
+            cursor_{bytes + at, bytes + end} {
+        enter_run();
+      }
+      /// Takes the mid and byte end of run_, whose first code is at the
+      /// cursor (nothing at the range's end).
+      void enter_run() {
+        if (cursor_.at != cursor_.end) {
+          mid_ = run_->mid;
+          run_end_ = bytes_ + run_->byte_end;
+          cursor_.load(0);
+        }
+      }
 
       AsId source_ = topology::kInvalidAs;
+      /// The run of the current path, and copies of its mid and byte
+      /// end: a caller's char stores (the wire writer's) would otherwise
+      /// force reloading them from the run for every path.
       const Run* run_ = nullptr;
-      const AsId* dsts_ = nullptr;
-      std::uint32_t index_ = 0;
+      AsId mid_ = topology::kInvalidAs;
+      const std::uint8_t* run_end_ = nullptr;
+      const std::uint8_t* bytes_ = nullptr;
+      Cursor cursor_;
     };
 
-    [[nodiscard]] std::size_t size() const { return last_ - first_; }
+    [[nodiscard]] std::size_t size() const {
+      return runs_.empty() ? 0 : runs_.back().end - start_.end;
+    }
     [[nodiscard]] iterator begin() const {
-      return {source_, runs_.data(), dsts_, first_};
+      return {source_, runs_.data(), bytes_, start_.byte_end, byte_end()};
     }
     [[nodiscard]] iterator end() const {
-      return {source_, runs_.data() + runs_.size(), dsts_, last_};
+      return {source_, runs_.data() + runs_.size(), bytes_, byte_end(),
+              byte_end()};
     }
 
     /// Calls `fn(mid, dsts)` once per hop run, in order, with the run's
-    /// destinations as a span.
+    /// destinations as a Destinations range.
     template <typename Fn>
     void for_each_run(Fn&& fn) const {
-      std::uint32_t begin = first_;
+      Run previous = start_;
       for (const Run& run : runs_) {
-        fn(run.mid, std::span<const AsId>(dsts_ + begin, run.end - begin));
-        begin = run.end;
+        fn(run.mid, Destinations(bytes_ + previous.byte_end,
+                                 bytes_ + run.byte_end,
+                                 run.end - previous.end));
+        previous = run;
       }
     }
 
    private:
     friend class SourcePathSet;
-    Paths(AsId source, std::span<const Run> runs, const AsId* dsts,
-          std::uint32_t first, std::uint32_t last)
-        : source_(source),
-          runs_(runs),
-          dsts_(dsts),
-          first_(first),
-          last_(last) {}
+    Paths(AsId source, std::span<const Run> runs, const std::uint8_t* bytes,
+          Run start)
+        : source_(source), runs_(runs), bytes_(bytes), start_(start) {}
+
+    [[nodiscard]] std::uint32_t byte_end() const {
+      return runs_.empty() ? start_.byte_end : runs_.back().byte_end;
+    }
 
     AsId source_;
     std::span<const Run> runs_;
-    const AsId* dsts_;
-    std::uint32_t first_;
-    std::uint32_t last_;
+    const std::uint8_t* bytes_;
+    /// The ends of the run before runs_ (zero before the first run).
+    Run start_;
   };
 
   /// Appends a GRC path. All GRC paths must be added before any MA path,
@@ -183,26 +306,27 @@ class SourcePathSet {
 
   [[nodiscard]] Paths grc() const {
     return {source_, std::span<const Run>(runs_).first(grc_runs_),
-            dsts_.data(), 0, grc_end()};
+            bytes_.data(), Run{}};
   }
   [[nodiscard]] Paths ma() const {
     return {source_, std::span<const Run>(runs_).subspan(grc_runs_),
-            dsts_.data(), grc_end(),
-            static_cast<std::uint32_t>(dsts_.size())};
+            bytes_.data(), grc_runs_ == 0 ? Run{} : runs_[grc_runs_ - 1]};
   }
 
   /// Heap bytes held, by capacity.
   [[nodiscard]] std::size_t heap_bytes() const {
-    return runs_.capacity() * sizeof(Run) + dsts_.capacity() * sizeof(AsId);
+    return runs_.capacity() * sizeof(Run) + bytes_.capacity();
   }
 
   /// Releases the arrays' growth slack (enumeration calls it, so cached
   /// sets hold exact-size arrays).
   void shrink_to_fit() {
     runs_.shrink_to_fit();
-    dsts_.shrink_to_fit();
+    bytes_.shrink_to_fit();
   }
 
+  /// Equal iff both sets hold the same GRC and the same MA path sequence:
+  /// the coding is a function of the sequences.
   friend bool operator==(const SourcePathSet&,
                          const SourcePathSet&) = default;
 
@@ -213,24 +337,42 @@ class SourcePathSet {
     }
     util::require(path.src == source_,
                   "SourcePathSet: paths of one set must share a source");
-    util::require(dsts_.size() < std::numeric_limits<std::uint32_t>::max(),
-                  "SourcePathSet: too many paths for u32 run ends");
+    const std::size_t at = bytes_.size();
+    util::require(at <= std::numeric_limits<std::uint32_t>::max() -
+                            (1 + sizeof(AsId)),
+                  "SourcePathSet: too many destination bytes for u32 "
+                  "run ends");
+    AsId prev = last_dst_;
     if (new_run || runs_.empty() || runs_.back().mid != path.mid) {
-      runs_.push_back({path.mid, 0});
+      runs_.push_back({path.mid, runs_.empty() ? 0 : runs_.back().end,
+                       static_cast<std::uint32_t>(at)});
+      prev = 0;
     }
-    dsts_.push_back(path.dst);
-    runs_.back().end = static_cast<std::uint32_t>(dsts_.size());
-  }
-
-  [[nodiscard]] std::uint32_t grc_end() const {
-    return grc_runs_ == 0 ? 0 : runs_[grc_runs_ - 1].end;
+    last_dst_ = path.dst;
+    const bool one_byte = path.dst > prev && path.dst - prev <= 0xff;
+    Run& run = runs_.back();
+    ++run.end;
+    run.byte_end =
+        static_cast<std::uint32_t>(at + (one_byte ? 1 : 1 + sizeof(AsId)));
+    // The byte stores come last: a byte store may alias any object, so
+    // the compiler reloads whatever is read after one.
+    if (one_byte) {
+      bytes_.push_back(static_cast<std::uint8_t>(path.dst - prev));
+    } else {
+      std::uint8_t coded[1 + sizeof(AsId)] = {kEscape};
+      std::memcpy(coded + 1, &path.dst, sizeof(AsId));
+      bytes_.insert(bytes_.end(), std::begin(coded), std::end(coded));
+    }
   }
 
   AsId source_ = topology::kInvalidAs;
   /// runs_[0, grc_runs_) are GRC hops, the rest MA.
   std::uint32_t grc_runs_ = 0;
+  /// The destination of the last appended path (the next one's gap base
+  /// unless it opens a run).
+  AsId last_dst_ = 0;
   std::vector<Run> runs_;
-  std::vector<AsId> dsts_;
+  std::vector<std::uint8_t> bytes_;
 };
 
 /// A cached SourcePathSet under shared immutable ownership: copying a
@@ -438,6 +580,8 @@ struct UtilityWeights {
 [[nodiscard]] double operator_utility(const MetricsDelta& delta,
                                       const UtilityWeights& weights = {});
 
+class ScratchPool;
+
 class MetricsAggregator {
  public:
   /// `world` == nullptr disables the geodistance aggregate (and best paths
@@ -462,13 +606,15 @@ class MetricsAggregator {
   /// stamped link id per AS) and the facility legs of overlay-added
   /// links, memoized per added link. One Scratch serves any number of
   /// contribution() calls, over any overlays (the memo is dropped when
-  /// the overlay changes); give each concurrent caller its own.
+  /// the overlay changes, and each time a ScratchPool hands the Scratch
+  /// out); give each concurrent caller its own.
   class Scratch {
    public:
     Scratch() = default;
 
    private:
     friend class MetricsAggregator;
+    friend class ScratchPool;
     /// A destination's best path so far, as its two overlay link ids
     /// (s-m, m-d): all the fee fold needs.
     struct Best {
@@ -529,14 +675,16 @@ class MetricsAggregator {
 
   /// The total contribution of `delta` on top of `runner`'s state, whose
   /// contributions are `state`: the delta's dirty sources, enumerated and
-  /// contributed on up to `threads` workers, spliced into `state`. Its
+  /// contributed on up to `threads` workers with Scratches borrowed from
+  /// `pool` (a pool of this aggregator), spliced into `state`. Its
   /// finalize() is, to the bit, aggregate() of a full recompute. `Result`
   /// is SourcePathSet or SharedPathSet.
   template <typename Result>
   [[nodiscard]] SourceContribution whatif_total(
       const SweepRunner<Result>& runner,
       const SliceSum<SourceContribution>& state, const Delta& delta,
-      std::size_t threads, SweepStats* stats = nullptr) const;
+      ScratchPool& pool, std::size_t threads,
+      SweepStats* stats = nullptr) const;
 
   /// Geodistance of s-m-d over the overlay. Hops over overlay-added links
   /// use facilities estimated from the endpoint PoP sets (see the header
@@ -597,13 +745,20 @@ class MetricsAggregator {
   std::size_t max_estimated_facilities_ = 3;
 };
 
-/// The Scratches of one parallel fold. A worker borrows one per source
-/// and hands it back, so a fan-out allocates at most one per worker (each
-/// holds a slot per AS), and all of them are freed with the pool.
+/// The Scratches of one aggregator's folds. A worker borrows one per
+/// source and hands it back, so the pool holds at most one per
+/// concurrent borrower (each holds a slot per AS), and all of them are
+/// freed with the pool. A pool may outlive any number of folds - the
+/// serving engine keeps one for its life - because every Scratch drops
+/// its added-link memo when it is handed out.
 class ScratchPool {
  public:
   explicit ScratchPool(const MetricsAggregator& aggregator)
       : aggregator_(&aggregator) {}
+
+  [[nodiscard]] const MetricsAggregator& aggregator() const {
+    return *aggregator_;
+  }
 
   /// MetricsAggregator::contribution on a borrowed Scratch; callable
   /// concurrently.

@@ -32,11 +32,12 @@
 // not at runtime) to equal their baseline values.
 //
 // The canonical Result (scenario::SourcePathSet) stores a source's path
-// sets run-length over hops - the source once, one {mid, end} run per
-// hop, one u32 destination per path - so the runner's cache holds two
-// flat arrays per source at ~4 bytes a path: 14.0 MB for the 3.64M paths
-// of 500 sources on the 3000-AS fixture, where {src, mid, dst} triples
-// took 41.6 MB. A copied runner copies its Result vector: the optimizer's
+// sets run-length over hops and gap-coded within a hop - the source once,
+// one run per hop, one byte for almost every destination - so the
+// runner's cache holds two flat arrays per source at ~1.06 bytes a path:
+// 3.9 MB for the 3.64M paths of 500 sources on the 3000-AS fixture, where
+// one u32 destination per path took 14.6 MB and {src, mid, dst} triples
+// 41.6 MB. A copied runner copies its Result vector: the optimizer's
 // search states copy every set, while the serving engine caches
 // scenario::SharedPathSet (SweepRunner<SharedPathSet>), so its
 // copy-on-rebase copies a pointer per source and shares the sets a step

@@ -218,6 +218,7 @@ QueryEngine::QueryEngine(const topology::CompiledTopology& base,
                          std::vector<AsId> sources, EngineConfig config)
     : base_(&base),
       aggregator_(base, world, economy),
+      scratch_pool_(aggregator_),
       sources_(std::move(sources)),
       config_(config) {
   source_index_.reserve(sources_.size());
@@ -302,7 +303,8 @@ DiversityResult QueryEngine::diversity(AsId src) const {
   util::require(src < base_->num_ases(), "QueryEngine: source out of range");
   engine_metrics().paths_cold.increment();
   const scenario::SourcePathSet sets = enumerate(state->overlay, src);
-  return to_diversity_result(aggregator_.contribution(state->overlay, sets));
+  return to_diversity_result(
+      scratch_pool_.contribution(state->overlay, sets));
 }
 
 WhatIfResult QueryEngine::compute_whatif(const State& state,
@@ -312,8 +314,9 @@ WhatIfResult QueryEngine::compute_whatif(const State& state,
   // into the state's per-source contributions in source order.
   scenario::SweepStats stats;
   const scenario::ScenarioMetrics metrics =
-      scenario::finalize(aggregator_.whatif_total(
-          state.runner, state.contribs, delta, config_.threads, &stats));
+      scenario::finalize(aggregator_.whatif_total(state.runner, state.contribs,
+                                                  delta, scratch_pool_,
+                                                  config_.threads, &stats));
   const scenario::MetricsDelta marginal =
       scenario::subtract(metrics, state.metrics);
 
@@ -387,13 +390,12 @@ std::uint64_t QueryEngine::rebase(const scenario::Delta& step) {
   std::vector<std::size_t> positions;
   std::vector<scenario::SharedPathSet> sets;
   std::vector<scenario::SourceContribution> contribs;
-  scenario::ScratchPool pool(aggregator_);
   current->runner.evaluate_dirty_visit(
       step,
       [&](const scenario::Overlay& overlay, AsId src) {
         scenario::SharedPathSet set = enumerate_shared(overlay, src);
         const scenario::SourceContribution contribution =
-            pool.contribution(overlay, *set);
+            scratch_pool_.contribution(overlay, *set);
         return std::pair(std::move(set), contribution);
       },
       [&](std::size_t position, const scenario::Overlay&, auto fresh) {

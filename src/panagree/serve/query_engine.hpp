@@ -8,9 +8,10 @@
 //
 //   * paths      - the §VI GRC + MA length-3 path sets of a source.
 //                  Sampled sources are served zero-copy: the runner's
-//                  cached scenario::SourcePathSet goes to the sink and
-//                  is serialized straight out of its hop runs; other
-//                  sources are enumerated on the fly (cold).
+//                  cached scenario::SourcePathSet (gap-coded hop runs,
+//                  ~1.06 bytes a path) goes to the sink and is decoded
+//                  as it is serialized; other sources are enumerated on
+//                  the fly (cold).
 //   * diversity  - the per-source diversity / geodistance / fee
 //                  aggregate (scenario::SourceContribution, finalized).
 //   * whatif     - score a candidate link delta against the current
@@ -24,7 +25,9 @@
 //                  enumerated and scored on up to EngineConfig::threads
 //                  workers, results kept by position and summed in
 //                  source order, so the bytes never depend on the thread
-//                  count.
+//                  count. Every contribution a request computes borrows
+//                  its working memory from one engine-owned
+//                  scenario::ScratchPool.
 //   * rebase     - commit a deployment step (copy-on-rebase, below) and
 //                  answer the new epoch.
 //
@@ -262,6 +265,10 @@ class QueryEngine {
 
   const topology::CompiledTopology* base_;
   scenario::MetricsAggregator aggregator_;
+  /// The Scratches of every contribution a request computes (what-ifs,
+  /// rebases, unsampled diversity), kept for the engine's life so no
+  /// request zero-fills a fresh one.
+  mutable scenario::ScratchPool scratch_pool_;
   std::vector<AsId> sources_;
   /// sources_[source_index_[src]] == src, for the cache fast path.
   std::unordered_map<AsId, std::size_t> source_index_;

@@ -98,6 +98,15 @@ class BenchGate(unittest.TestCase):
         # simd names the host's kernel, not an output: never compared.
         self.assertNotIn("simd", stderr)
 
+    def test_moved_cache_bytes_fails(self):
+        # Every row steady, but the path cache grew back to 4 bytes a
+        # path: the layout fingerprint alone fails the gate.
+        status, rows, stderr = self.check("cache_bytes")
+        self.assertEqual(status, 1)
+        self.assertTrue(all(verdict == "ok" for verdict in rows.values()))
+        self.assertIn("cache_bytes = 14643844 in current run 1, "
+                      "baseline 3866313", stderr)
+
 
 if __name__ == "__main__":
     unittest.main()

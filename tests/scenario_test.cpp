@@ -576,15 +576,177 @@ TEST(SourcePathSet, RunsBreakAtMidChangesAndTheGrcMaBoundary) {
   EXPECT_EQ(set.ma().size(), 2u);
   const auto runs_of = [](const SourcePathSet::Paths& paths) {
     std::vector<std::pair<AsId, std::vector<AsId>>> runs;
-    paths.for_each_run([&](AsId mid, std::span<const AsId> dsts) {
-      runs.emplace_back(mid, std::vector<AsId>(dsts.begin(), dsts.end()));
-    });
+    paths.for_each_run(
+        [&](AsId mid, const SourcePathSet::Destinations& dsts) {
+          runs.emplace_back(mid,
+                            std::vector<AsId>(dsts.begin(), dsts.end()));
+          EXPECT_EQ(dsts.size(), runs.back().second.size());
+        });
     return runs;
   };
   using Runs = std::vector<std::pair<AsId, std::vector<AsId>>>;
   EXPECT_EQ(runs_of(set.grc()), (Runs{{1, {2, 3}}, {4, {6}}, {1, {7}}}));
   EXPECT_EQ(runs_of(set.ma()), (Runs{{1, {8, 9}}}));
   EXPECT_THROW(set.add_ma({6, 1, 2}), util::PreconditionError);
+}
+
+/// The plain-vector oracle of a SourcePathSet: its GRC and MA paths.
+struct PathSequences {
+  std::vector<diversity::Length3Path> grc;
+  std::vector<diversity::Length3Path> ma;
+
+  [[nodiscard]] SourcePathSet build() const {
+    SourcePathSet set;
+    for (const diversity::Length3Path& path : grc) {
+      set.add_grc(path);
+    }
+    for (const diversity::Length3Path& path : ma) {
+      set.add_ma(path);
+    }
+    set.shrink_to_fit();
+    return set;
+  }
+
+  friend bool operator==(const PathSequences&,
+                         const PathSequences&) = default;
+};
+
+using HopRuns = std::vector<std::pair<AsId, std::vector<AsId>>>;
+
+/// The hop runs of `paths`: a run ends wherever the mid changes.
+HopRuns expected_runs(const std::vector<diversity::Length3Path>& paths) {
+  HopRuns runs;
+  for (const diversity::Length3Path& path : paths) {
+    if (runs.empty() || runs.back().first != path.mid) {
+      runs.emplace_back(path.mid, std::vector<AsId>{});
+    }
+    runs.back().second.push_back(path.dst);
+  }
+  return runs;
+}
+
+/// Reads `paths` back every way a consumer does - forward iteration,
+/// post-increment, ranges::equal and for_each_run with each run's size -
+/// and compares with the oracle.
+void expect_reads_back(const SourcePathSet::Paths& paths,
+                       const std::vector<diversity::Length3Path>& expected,
+                       const std::string& where) {
+  EXPECT_EQ(paths.size(), expected.size()) << where;
+  EXPECT_TRUE(std::ranges::equal(paths, expected)) << where;
+  std::vector<diversity::Length3Path> walked;
+  for (auto it = paths.begin(); it != paths.end();) {
+    walked.push_back(*it++);
+  }
+  EXPECT_EQ(walked, expected) << where;
+  HopRuns runs;
+  paths.for_each_run([&](AsId mid, const SourcePathSet::Destinations& dsts) {
+    runs.emplace_back(mid, std::vector<AsId>(dsts.begin(), dsts.end()));
+    EXPECT_EQ(dsts.size(), runs.back().second.size()) << where;
+  });
+  EXPECT_EQ(runs, expected_runs(expected)) << where;
+}
+
+void expect_reads_back(const PathSequences& sequences,
+                       const std::string& where) {
+  const SourcePathSet set = sequences.build();
+  expect_reads_back(set.grc(), sequences.grc, where + " grc");
+  expect_reads_back(set.ma(), sequences.ma, where + " ma");
+}
+
+/// Seeded random sequences over every destination pattern the coding
+/// distinguishes: ascending by 1-255 (one byte), by more, descending,
+/// repeated, 0 and the largest ids, each at a run's start and mid-run,
+/// with mids that repeat across runs and across the GRC/MA boundary.
+PathSequences random_sequences(util::Rng& rng, AsId src) {
+  constexpr AsId kTop = std::numeric_limits<AsId>::max() - 1;
+  const auto part = [&](std::size_t paths) {
+    std::vector<diversity::Length3Path> out;
+    AsId mid = static_cast<AsId>(rng.uniform_index(4));
+    AsId dst = 0;
+    for (std::size_t i = 0; i < paths; ++i) {
+      if (i == 0 || rng.uniform_index(6) == 0) {
+        mid = static_cast<AsId>(rng.uniform_index(4));
+      }
+      switch (rng.uniform_index(9)) {
+        case 0: dst = 0; break;
+        case 1: dst = kTop; break;
+        case 2: dst = kTop - static_cast<AsId>(rng.uniform_index(300)); break;
+        case 3: dst = dst - static_cast<AsId>(rng.uniform_index(3)); break;
+        case 4: dst = static_cast<AsId>(rng.next()); break;
+        case 5: dst = dst + 256 + static_cast<AsId>(rng.uniform_index(2));
+          break;
+        default: dst = dst + 1 + static_cast<AsId>(rng.uniform_index(255));
+      }
+      out.push_back({src, mid, dst});
+    }
+    return out;
+  };
+  PathSequences sequences;
+  sequences.grc = part(rng.uniform_index(3) == 0 ? 0 : rng.uniform_index(40));
+  sequences.ma = part(rng.uniform_index(3) == 0 ? 0 : rng.uniform_index(40));
+  return sequences;
+}
+
+/// The gap coding is lossless: every set reads back as the paths it was
+/// built from, and equality of sets is equality of their path sequences.
+TEST(SourcePathSet, GapCodingRoundTrips) {
+  constexpr AsId kTop = std::numeric_limits<AsId>::max() - 1;
+  const AsId s = 9;
+  // Hand-picked edges: gaps of exactly 255 and 256, destination 0 and
+  // 2^32-2 at a run's start and mid-run, descending and repeated
+  // destinations, one-path runs, and an MA run repeating the last GRC mid.
+  const std::vector<PathSequences> edges{
+      {{{s, 1, 255}, {s, 1, 510}, {s, 1, 765}}, {}},
+      {{{s, 1, 256}, {s, 1, 512}, {s, 1, 768}}, {}},
+      {{{s, 1, 0}, {s, 1, 1}, {s, 1, 0}, {s, 2, kTop}, {s, 2, 0}},
+       {{s, 3, 5}, {s, 3, kTop - 1}, {s, 3, kTop}, {s, 3, kTop}}},
+      {{{s, 4, 300}, {s, 4, 200}, {s, 4, 200}, {s, 4, 100}}, {}},
+      {{}, {{s, 5, 1}, {s, 6, 2}, {s, 5, 3}}},
+      {{{s, 7, 8}, {s, 8, 7}}, {{s, 8, 9}, {s, 8, 10}}},
+      {{}, {}},
+  };
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    expect_reads_back(edges[i], "edge " + std::to_string(i));
+  }
+  // One byte per destination 1-255 above its predecessor, five otherwise.
+  EXPECT_EQ(edges[1].build().heap_bytes() - edges[0].build().heap_bytes(),
+            3u * sizeof(AsId));
+
+  // Every fifth draw repeats an earlier one, so equal sets occur.
+  util::Rng rng(20261019);
+  std::vector<PathSequences> drawn;
+  for (int round = 0; round < 200; ++round) {
+    drawn.push_back(round % 5 == 4
+                        ? drawn[rng.uniform_index(drawn.size())]
+                        : random_sequences(rng, s));
+    expect_reads_back(drawn.back(), "round " + std::to_string(round));
+  }
+
+  // == holds exactly when the path sequences match: against copies,
+  // against one changed destination, and against the same paths split
+  // differently between GRC and MA.
+  for (std::size_t i = 0; i < drawn.size(); ++i) {
+    const SourcePathSet set = drawn[i].build();
+    EXPECT_EQ(set, drawn[i].build());
+    for (std::size_t j = 0; j < 20; ++j) {
+      const std::size_t other = (i + j) % drawn.size();
+      EXPECT_EQ(set == drawn[other].build(), drawn[i] == drawn[other])
+          << i << " vs " << other;
+    }
+    PathSequences changed = drawn[i];
+    std::vector<diversity::Length3Path>& part =
+        changed.grc.empty() ? changed.ma : changed.grc;
+    if (!part.empty()) {
+      part.back().dst += 1;
+      EXPECT_NE(set, changed.build()) << i;
+    }
+    if (!drawn[i].grc.empty()) {
+      PathSequences moved = drawn[i];
+      moved.ma.insert(moved.ma.begin(), moved.grc.back());
+      moved.grc.pop_back();
+      EXPECT_NE(set, moved.build()) << i;
+    }
+  }
 }
 
 TEST(InvalidationBall, GrowsWithRadiusAndCoversEndpoints) {

@@ -58,12 +58,15 @@ for run in $(seq 1 "$RUNS"); do
   # row, the byte-identity fingerprint). Metrics_Contribution gates the serial
   # contribution kernel alone - the fold behind every prime, rebase and
   # what-if; its `paths` and `km_fee_sum` counters are a bit-identity
-  # fingerprint that must not move.
+  # fingerprint that must not move. Wire_PathsSerialize gates the paths
+  # response writer on a median-size and the largest cached source (its
+  # `response_bytes` must not move), and QueryEngine_CachedSource's
+  # `cache_bytes` pins the cached path sets' layout.
   # Default --benchmark_min_time stays: the rotating-source micro benches
   # need enough iterations to average the heavy-tailed per-source costs,
   # or run-to-run noise defeats the 30% regression gate.
   "$BUILD/bench_perf_micro" \
-    --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|QueryEngine_WhatIfBatched/4|Convergence|Metrics_Contribution)'
+    --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|QueryEngine_WhatIfBatched/4|Convergence|Metrics_Contribution|Wire_PathsSerialize)'
 done
 
 echo "bench suite results in $OUT:"

@@ -27,10 +27,10 @@ not touch, and a row fails only when it regressed by more than
 --calibrate the comparison is raw.
 
 Fingerprints: the named counters of the google-benchmark rows (checksum,
-paths, km_fee_sum, utility_sum, ...; see FINGERPRINTS) are outputs of
-the benchmarked code, not timings. Each must read the same in every run
-of both directories; a differing value fails the gate. A fingerprint the
-baseline row has but the current row lacks fails too.
+paths, km_fee_sum, utility_sum, cache_bytes, ...; see FINGERPRINTS) are
+outputs of the benchmarked code, not timings. Each must read the same in
+every run of both directories; a differing value fails the gate. A
+fingerprint the baseline row has but the current row lacks fails too.
 
 Exit status: 0 when no benchmark regresses, every fingerprint matches
 and every baseline name is covered by every current run; 1 otherwise.
@@ -46,10 +46,12 @@ TIME_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 # Counters that fingerprint a row's output: exact, host-independent and
 # independent of the iteration count. ("simd" names the host's kernel and
-# is not one.)
+# is not one.) cache_bytes is the serving engine's path-cache size and
+# response_bytes a serialized paths response's length: layout and wire
+# bytes, which move only on purpose.
 FINGERPRINTS = ("checksum", "paths", "km_fee_sum", "utility_sum",
                 "admitted", "captured", "top_candidate", "program_steps",
-                "reused_evaluations")
+                "reused_evaluations", "cache_bytes", "response_bytes")
 FINGERPRINT_PREFIXES = ("recomputed_sources",)
 
 

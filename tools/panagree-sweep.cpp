@@ -508,12 +508,14 @@ int main(int argc, char** argv) {
     std::vector<Ranked> ranked;
     ranked.reserve(deltas.size());
     std::size_t recomputed_total = 0;
+    scenario::ScratchPool pool(aggregator);
     for (std::size_t i = 0; i < deltas.size(); ++i) {
       Ranked entry;
       entry.scenario = i;
       const scenario::ScenarioMetrics metrics =
           scenario::finalize(aggregator.whatif_total(
-              runner, contribs, deltas[i], options.threads, &entry.stats));
+              runner, contribs, deltas[i], pool, options.threads,
+              &entry.stats));
       entry.delta = scenario::subtract(metrics, baseline);
       entry.utility = scenario::operator_utility(entry.delta);
       recomputed_total += entry.stats.recomputed_sources;

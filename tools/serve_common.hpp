@@ -8,7 +8,9 @@
 // Cold start: prime() enumerates every sampled source, then folds their
 // per-source contributions in parallel over the engine threads (500
 // sources on the 3000-AS fixture at 2 threads: 80-100 ms of enumeration,
-// then 75-110 ms of fold), so the context is serve-ready.
+// then 75-110 ms of fold), so the context is serve-ready. The cached path
+// sets are gap-coded (scenario::SourcePathSet): 3.9 MB for those 500
+// sources, of a daemon peak near 17-19 MB.
 #pragma once
 
 #include <array>
