@@ -38,7 +38,6 @@
 #include "panagree/pan/beaconing.hpp"
 #include "panagree/pan/forwarding.hpp"
 #include "panagree/paths/parallel.hpp"
-#include "panagree/paths/role_filter.hpp"
 #include "panagree/scenario/failure.hpp"
 #include "panagree/scenario/metrics.hpp"
 #include "panagree/scenario/sweep.hpp"
@@ -224,15 +223,30 @@ void BM_Length3Enumeration_GraphBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_Length3Enumeration_GraphBaseline);
 
+// `paths` fingerprints the walk: the GRC + MA path count of a fixed
+// source list (the first 256 sources of the timed rotation), counted
+// once after the timing loop so the per-iteration time is the walk alone.
 void BM_Length3Enumeration_Csr(benchmark::State& state) {
   const diversity::Length3Analyzer analyzer(cached_topology().graph);
   const auto& g = cached_topology().graph;
+  const auto n = static_cast<topology::AsId>(g.num_ases());
   topology::AsId src = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.grc_paths(src).size() +
                              analyzer.ma_paths(src).size());
-    src = (src + 17) % static_cast<topology::AsId>(g.num_ases());
+    src = (src + 17) % n;
   }
+  static const std::size_t paths = [&] {
+    std::size_t count = 0;
+    topology::AsId fixed = 0;
+    for (int i = 0; i < 256; ++i) {
+      count += analyzer.grc_paths(fixed).size() +
+               analyzer.ma_paths(fixed).size();
+      fixed = (fixed + 17) % n;
+    }
+    return count;
+  }();
+  state.counters["paths"] = static_cast<double>(paths);
 }
 BENCHMARK(BM_Length3Enumeration_Csr);
 
@@ -950,52 +964,6 @@ BENCHMARK(BM_MapSources)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------- role-filter kernel pair
-//
-// The admissible-role scan over the whole role lane of the 3000-AS
-// fixture with the descending-phase mask (customers only - the hottest
-// mask of a valley-free walk), one contiguous pass so the pair measures
-// *kernel throughput* (ISSUE: >= 2x on this fixture). Per-row dispatch
-// overhead on short rows is the DFS's concern and already shows up in
-// the enumeration benches. Scalar is the golden reference the vector
-// kernels are property-tested against (role_filter_test); Simd is
-// whatever filter_roles() dispatches to on this host (the "simd"
-// counter names it: 0 = scalar, 1 = sse2, 2 = avx2). The admitted
-// counter is the shared correctness fingerprint.
-
-void BM_RoleFilter_Scalar(benchmark::State& state) {
-  const auto lane = cached_compiled().role_lane_array();
-  std::vector<std::uint32_t> out(lane.size());
-  std::size_t admitted = 0;
-  for (auto _ : state) {
-    admitted = paths::filter_roles_scalar(lane.data(), lane.size(),
-                                          paths::kCustomerBit, out.data());
-    benchmark::DoNotOptimize(admitted);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * lane.size());
-  state.counters["admitted"] = static_cast<double>(admitted);
-}
-BENCHMARK(BM_RoleFilter_Scalar);
-
-void BM_RoleFilter_Simd(benchmark::State& state) {
-  const auto lane = cached_compiled().role_lane_array();
-  std::vector<std::uint32_t> out(lane.size());
-  std::size_t admitted = 0;
-  for (auto _ : state) {
-    admitted = paths::filter_roles(lane.data(), lane.size(),
-                                   paths::kCustomerBit, out.data());
-    benchmark::DoNotOptimize(admitted);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * lane.size());
-  state.counters["admitted"] = static_cast<double>(admitted);
-  const std::string kernel = paths::role_filter_dispatch();
-  state.counters["simd"] = kernel == "avx2" ? 2.0 : kernel == "sse2" ? 1.0
-                                                                     : 0.0;
-}
-BENCHMARK(BM_RoleFilter_Simd);
 
 // ------------------------------------------------- obs record overhead
 //

@@ -83,6 +83,12 @@ class CrossingStep {
     return false;
   }
 
+  /// A crossing may lead to a neighbor of any role in either phase, so
+  /// every row is walked whole.
+  [[nodiscard]] topology::RoleMask admissible_roles(State /*state*/) const {
+    return topology::kAllRoles;
+  }
+
  private:
   const CrossingRegistry* crossings_;
 };

@@ -20,18 +20,17 @@
 // A policy must provide:
 //   using State = <copyable state type>;
 //   State initial_state() const;
+//   RoleMask admissible_roles(State state) const;
 //   bool allowed(const Step& step, State state, State& next_state) const;
 //
-// A policy may additionally provide
-//   RoleMask admissible_roles(State state) const;
-// returning a *superset* of the roles allowed() can ever admit in that
-// state (allowed() stays the authority - the mask may not consult depth
-// or off-path lookups). When the policy has the hook and the topology
-// view exposes a contiguous role lane (CompiledTopology::role_lane), the
-// DFS pre-filters each CSR row with the SIMD role scan
-// (paths::filter_roles) and only offers the surviving entries to
-// allowed(); otherwise it scans the full row. Both paths enumerate the
-// same paths in the same order.
+// admissible_roles returns a *superset* of the roles allowed() can ever
+// admit in that state (allowed() stays the authority - the mask may not
+// consult depth or off-path lookups). Every adjacency row is stored as
+// providers | peers | customers, so the mask selects whole row groups:
+// the DFS walks only the admitted groups (the view's for_each_entry(as,
+// roles, fn)) and offers each of their entries to allowed(). A policy
+// that returns kAllRoles walks every row whole; any superset mask
+// enumerates the same paths in the same order.
 //
 // The sink invoked for every emitted path returns bool: `true` to keep
 // extending the path, `false` to treat it as terminal (e.g. the
@@ -39,20 +38,23 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
-#include <span>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "panagree/paths/role_filter.hpp"
 #include "panagree/topology/compiled.hpp"
 
 namespace panagree::paths {
 
 using topology::AsId;
 using topology::CompiledTopology;
+using topology::kAllRoles;
+using topology::kCustomerBit;
+using topology::kPeerBit;
+using topology::kProviderBit;
 using topology::NeighborRole;
+using topology::RoleMask;
 
 /// A path is the visited AS sequence, source first.
 using Path = std::vector<AsId>;
@@ -248,11 +250,12 @@ class BasicMaLength3Step {
 using MaLength3Step = BasicMaLength3Step<CompiledTopology>;
 
 /// The shared walk engine, parameterized over the topology view: any type
-/// exposing num_ases(), for_each_entry(as, fn) yielding
-/// CompiledTopology::Entry-shaped values in CSR row order, and role_of
-/// (the snapshot itself, or a scenario::Overlay splicing link deltas into
-/// that order). Stateless apart from the view pointer; one instance can
-/// serve concurrent walks from multiple threads.
+/// exposing num_ases(), for_each_entry(as, roles, fn) yielding the
+/// CompiledTopology::Entry-shaped values of the admitted role groups in
+/// CSR row order, and role_of (the snapshot itself, or a
+/// scenario::Overlay splicing link deltas into that order). Stateless
+/// apart from the view pointer; one instance can serve concurrent walks
+/// from multiple threads.
 template <typename Topo>
 class BasicPathEnumerator {
  public:
@@ -335,18 +338,6 @@ class BasicPathEnumerator {
   }
 
  private:
-  /// True when dfs() can pre-filter rows: the view exposes a contiguous
-  /// role lane and the policy declares its admissible roles per state.
-  template <typename Policy>
-  static constexpr bool kCanRoleFilter =
-      requires(const Topo& t, const Policy& p, typename Policy::State s) {
-        { t.role_lane(AsId{0}) } -> std::convertible_to<const std::uint8_t*>;
-        { t.entries(AsId{0}) }
-            -> std::convertible_to<
-                std::span<const topology::CompiledTopology::Entry>>;
-        { p.admissible_roles(s) } -> std::convertible_to<RoleMask>;
-      };
-
   template <typename Policy, typename Sink>
   void dfs(const Policy& policy, Sink& sink, Path& path,
            std::vector<std::uint64_t>& visited, std::uint64_t walk,
@@ -373,29 +364,7 @@ class BasicPathEnumerator {
       }
       path.pop_back();
     };
-    if constexpr (kCanRoleFilter<Policy>) {
-      const RoleMask mask = policy.admissible_roles(state);
-      if (mask != kAllRoles) {
-        const auto row = topo_->entries(cur);
-        // One scratch vector per thread, used as a stack of per-frame
-        // index lists: this frame appends its admitted indices, deeper
-        // frames append after them, and each frame truncates back on
-        // exit. Indexed (not iterator) access - recursion may reallocate.
-        thread_local std::vector<std::uint32_t> scratch;
-        const std::size_t frame = scratch.size();
-        scratch.resize(frame + row.size());
-        const std::size_t admitted = filter_roles(
-            topo_->role_lane(cur), row.size(), mask, scratch.data() + frame);
-        scratch.resize(frame + admitted);
-        const std::size_t end = frame + admitted;
-        for (std::size_t k = frame; k < end; ++k) {
-          try_step(row[scratch[k]]);
-        }
-        scratch.resize(frame);
-        return;
-      }
-    }
-    topo_->for_each_entry(cur, try_step);
+    topo_->for_each_entry(cur, policy.admissible_roles(state), try_step);
   }
 
   const Topo* topo_;

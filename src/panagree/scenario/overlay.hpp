@@ -15,6 +15,8 @@
 // recompiling the mutated graph would produce - role groups in provider /
 // peer / customer order, each sorted ascending by neighbor id, with
 // removed links filtered out and added links merged into sorted position.
+// A role mask restricts the walk to whole groups of that row, as on the
+// base snapshot.
 // Path enumeration over an Overlay is therefore byte-identical to
 // enumeration over a recompiled mutated topology (paths carry AS ids only;
 // link ids of added links are synthetic, see added_link()).
@@ -103,22 +105,30 @@ class Overlay {
   /// The added link behind a synthetic link id.
   [[nodiscard]] const LinkChange& added_link(std::uint32_t link_id) const;
 
-  /// Overlaid adjacency row of `as`: the protocol of
-  /// CompiledTopology::for_each_entry, with removed links dropped and
-  /// added links merged in role-group order.
+  /// Overlaid adjacency row of `as`, restricted to the role groups
+  /// `roles` admits: the protocol of CompiledTopology::for_each_entry,
+  /// with removed links dropped and added links merged in role-group
+  /// order.
   template <typename Fn>
-  void for_each_entry(AsId as, Fn&& fn) const {
+  void for_each_entry(AsId as, topology::RoleMask roles, Fn&& fn) const {
     if (!is_touched(as)) {
-      base_->for_each_entry(as, fn);
+      base_->for_each_entry(as, roles, fn);
       return;
     }
-    // Merge per role group: the base group span and this AS's added
-    // entries of the same group, both sorted by neighbor id.
+    // Merge per admitted role group: the base group span and this AS's
+    // added entries of the same group, both sorted by neighbor id.
     const std::span<const Entry> groups[3] = {
         base_->providers(as), base_->peers(as), base_->customers(as)};
     const auto [added_begin, added_end] = added_range(as);
     std::size_t a = added_begin;
     for (std::size_t g = 0; g < 3; ++g) {
+      if (((roles >> g) & 1U) == 0) {
+        // Added entries are ordered by group: step past this one's.
+        while (a < added_end && group_of(added_[a].entry.role) == g) {
+          ++a;
+        }
+        continue;
+      }
       std::size_t b = 0;
       const std::span<const Entry> row = groups[g];
       while (a < added_end && group_of(added_[a].entry.role) == g) {
@@ -138,6 +148,12 @@ class Overlay {
         }
       }
     }
+  }
+
+  /// The whole overlaid row: for_each_entry with every role admitted.
+  template <typename Fn>
+  void for_each_entry(AsId as, Fn&& fn) const {
+    for_each_entry(as, topology::kAllRoles, fn);
   }
 
   /// Role of y from x's perspective under the overlay; nullopt if the

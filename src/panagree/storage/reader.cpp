@@ -330,10 +330,29 @@ MappedSnapshot MappedSnapshot::open(const std::string& path) {
              std::to_string(as));
     }
   }
-  for (const TopoEntry& entry : entries) {
-    if (entry.neighbor >= n || entry.link >= num_links ||
-        static_cast<std::uint8_t>(entry.role) > 2) {
-      reject("CSR entry out of range");
+  // The offsets now tile the entry array. Each row is providers | peers |
+  // customers, every group strictly ascending by neighbor: role-masked
+  // walks select entries by group position and find() binary-searches
+  // each group, so an entry whose role disagrees with its group, or a
+  // group out of order, would answer wrongly instead of failing.
+  for (std::size_t as = 0; as < n; ++as) {
+    const std::uint32_t bound[4] = {row_start[as], providers_end[as],
+                                    peers_end[as], row_start[as + 1]};
+    for (std::uint8_t group = 0; group < 3; ++group) {
+      for (std::uint32_t i = bound[group]; i < bound[group + 1]; ++i) {
+        const TopoEntry& entry = entries[i];
+        if (entry.neighbor >= n || entry.link >= num_links) {
+          reject("CSR entry out of range");
+        }
+        if (static_cast<std::uint8_t>(entry.role) != group) {
+          reject("CSR entry role does not match its row group at AS " +
+                 std::to_string(as));
+        }
+        if (i > bound[group] && entries[i - 1].neighbor >= entry.neighbor) {
+          reject("CSR row group not strictly ascending at AS " +
+                 std::to_string(as));
+        }
+      }
     }
   }
   state->compiled = topology::CompiledTopology::borrow(

@@ -15,14 +15,6 @@ void CompiledTopology::point_at_owned() noexcept {
   num_entries_ = owned_entries_.size();
 }
 
-void CompiledTopology::build_role_lane() {
-  owned_roles_.resize(num_entries_);
-  for (std::size_t i = 0; i < num_entries_; ++i) {
-    owned_roles_[i] = static_cast<std::uint8_t>(entries_[i].role);
-  }
-  roles_ = owned_roles_.data();
-}
-
 CompiledTopology::CompiledTopology(const Graph& graph) : graph_(&graph) {
   const std::size_t n = graph.num_ases();
   util::require(2 * graph.num_links() <
@@ -77,7 +69,6 @@ CompiledTopology::CompiledTopology(const Graph& graph) : graph_(&graph) {
               owned_entries_.begin() + owned_row_start_[as + 1], by_neighbor);
   }
   point_at_owned();
-  build_role_lane();
 }
 
 CompiledTopology CompiledTopology::borrow(
@@ -102,7 +93,6 @@ CompiledTopology CompiledTopology::borrow(
   out.entries_ = entries.data();
   out.num_ases_ = n;
   out.num_entries_ = entries.size();
-  out.build_role_lane();
   return out;
 }
 
@@ -117,8 +107,6 @@ void CompiledTopology::adopt_views_from(const CompiledTopology& other) {
     num_ases_ = other.num_ases_;
     num_entries_ = other.num_entries_;
   }
-  // The role lane is owned in both modes; re-point at this object's copy.
-  roles_ = owned_roles_.data();
 }
 
 CompiledTopology::CompiledTopology(const CompiledTopology& other)
@@ -127,8 +115,7 @@ CompiledTopology::CompiledTopology(const CompiledTopology& other)
       owned_row_start_(other.owned_row_start_),
       owned_providers_end_(other.owned_providers_end_),
       owned_peers_end_(other.owned_peers_end_),
-      owned_entries_(other.owned_entries_),
-      owned_roles_(other.owned_roles_) {
+      owned_entries_(other.owned_entries_) {
   adopt_views_from(other);
 }
 
@@ -145,8 +132,7 @@ CompiledTopology::CompiledTopology(CompiledTopology&& other) noexcept
       owned_row_start_(std::move(other.owned_row_start_)),
       owned_providers_end_(std::move(other.owned_providers_end_)),
       owned_peers_end_(std::move(other.owned_peers_end_)),
-      owned_entries_(std::move(other.owned_entries_)),
-      owned_roles_(std::move(other.owned_roles_)) {
+      owned_entries_(std::move(other.owned_entries_)) {
   adopt_views_from(other);
 }
 
@@ -159,7 +145,6 @@ CompiledTopology& CompiledTopology::operator=(
     owned_providers_end_ = std::move(other.owned_providers_end_);
     owned_peers_end_ = std::move(other.owned_peers_end_);
     owned_entries_ = std::move(other.owned_entries_);
-    owned_roles_ = std::move(other.owned_roles_);
     adopt_views_from(other);
   }
   return *this;

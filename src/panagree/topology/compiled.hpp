@@ -12,9 +12,10 @@
 // with per-AS row offsets. Each row stores the neighbors grouped by role
 // (providers, then peers, then customers), each group sorted ascending by
 // AS id, and every entry carries the precomputed NeighborRole and LinkId.
-// Neighbor iteration is a span over contiguous memory; role_of/link_between
-// are branchless binary searches over a sorted row group (O(log degree), no
-// hashing, no allocation).
+// Neighbor iteration is a span over contiguous memory, and a role-masked
+// walk (for_each_entry(as, roles, fn)) reads only the admitted groups'
+// spans; role_of/link_between are branchless binary searches over a
+// sorted row group (O(log degree), no hashing, no allocation).
 //
 // The snapshot holds a pointer to the source Graph (for link/AS metadata)
 // and must not outlive it. Links or ASes added to the Graph after
@@ -81,16 +82,34 @@ class CompiledTopology {
     return {entries_ + row_start_[as], entries_ + row_start_[as + 1]};
   }
 
-  /// Invokes `fn(entry)` for every adjacency entry of `as` in row order.
-  /// The iteration protocol shared with scenario::Overlay, which merges
-  /// link deltas into the same order - generic walkers (paths::
+  /// Invokes `fn(entry)` for every adjacency entry of `as` whose role
+  /// `roles` admits, in row order. Each role is one group of the row, so
+  /// the mask selects whole groups: only the admitted spans between
+  /// row_start_, providers_end_ and peers_end_ are read, never a role
+  /// byte. The iteration protocol shared with scenario::Overlay, which
+  /// merges link deltas into the same order - generic walkers (paths::
   /// BasicPathEnumerator) iterate through this instead of entries() so
   /// they run unchanged on either topology view.
   template <typename Fn>
-  void for_each_entry(AsId as, Fn&& fn) const {
-    for (const Entry& entry : entries(as)) {
-      fn(entry);
+  void for_each_entry(AsId as, RoleMask roles, Fn&& fn) const {
+    check(as);
+    // Group g (role g) spans [bound[g], bound[g + 1]).
+    const std::uint32_t bound[4] = {row_start_[as], providers_end_[as],
+                                    peers_end_[as], row_start_[as + 1]};
+    for (unsigned g = 0; g < 3; ++g) {
+      if (((roles >> g) & 1U) == 0) {
+        continue;
+      }
+      for (std::uint32_t i = bound[g]; i < bound[g + 1]; ++i) {
+        fn(entries_[i]);
+      }
     }
+  }
+
+  /// The whole row: for_each_entry with every role admitted.
+  template <typename Fn>
+  void for_each_entry(AsId as, Fn&& fn) const {
+    for_each_entry(as, kAllRoles, fn);
   }
 
   /// pi(X) as a span of entries.
@@ -114,22 +133,6 @@ class CompiledTopology {
   [[nodiscard]] std::size_t degree(AsId as) const {
     check(as);
     return row_start_[as + 1] - row_start_[as];
-  }
-
-  /// The roles of `as`'s row as a bare contiguous uint8_t lane, parallel
-  /// to entries(as): role_lane(as)[i] == entries(as)[i].role. Derived
-  /// from the entry array at construction (both compile and borrow modes
-  /// - the .pansnap format is unchanged) so the admissible-role scan of
-  /// the path engine can run vectorized (paths::filter_roles) instead of
-  /// striding through 8-byte Entry records for one byte each.
-  [[nodiscard]] const std::uint8_t* role_lane(AsId as) const {
-    check(as);
-    return roles_ + row_start_[as];
-  }
-
-  /// The whole role lane (num_entries() values), for benchmarks/tests.
-  [[nodiscard]] std::span<const std::uint8_t> role_lane_array() const {
-    return {roles_, num_entries_};
   }
 
   /// The adjacency entry for neighbor `y` in `x`'s row; nullptr if not
@@ -202,10 +205,6 @@ class CompiledTopology {
 
   /// Points the access pointers at the owned vectors.
   void point_at_owned() noexcept;
-  /// Rebuilds owned_roles_ from the entry array and points roles_ at it.
-  /// The lane is derived data and always owned, even when the CSR arrays
-  /// themselves are borrowed from a mapped snapshot.
-  void build_role_lane();
   /// Copy/move helper: re-point at own storage (owning) or copy the
   /// borrowed views.
   void adopt_views_from(const CompiledTopology& other);
@@ -241,9 +240,6 @@ class CompiledTopology {
   const std::uint32_t* providers_end_ = nullptr;
   const std::uint32_t* peers_end_ = nullptr;
   const Entry* entries_ = nullptr;
-  /// Contiguous role-per-entry lane parallel to entries_ (always backed
-  /// by owned_roles_; see build_role_lane).
-  const std::uint8_t* roles_ = nullptr;
   std::size_t num_ases_ = 0;
   std::size_t num_entries_ = 0;
   const Graph* graph_ = nullptr;
@@ -253,8 +249,6 @@ class CompiledTopology {
   std::vector<std::uint32_t> owned_providers_end_;
   std::vector<std::uint32_t> owned_peers_end_;
   std::vector<Entry> owned_entries_;
-  /// The derived role lane, owned in both modes.
-  std::vector<std::uint8_t> owned_roles_;
 };
 
 }  // namespace panagree::topology

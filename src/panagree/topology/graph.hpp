@@ -35,6 +35,21 @@ enum class LinkType : std::uint8_t {
 /// Role of a neighbor Y as seen from X.
 enum class NeighborRole : std::uint8_t { kProvider, kPeer, kCustomer };
 
+/// A set of neighbor roles: bit (1 << role) admits that role. Adjacency
+/// rows are grouped by role, so a mask selects whole row groups
+/// (CompiledTopology::for_each_entry).
+using RoleMask = std::uint8_t;
+
+/// The bit admitting `role`.
+[[nodiscard]] constexpr RoleMask role_bit(NeighborRole role) {
+  return static_cast<RoleMask>(1U << static_cast<unsigned>(role));
+}
+
+inline constexpr RoleMask kProviderBit = role_bit(NeighborRole::kProvider);
+inline constexpr RoleMask kPeerBit = role_bit(NeighborRole::kPeer);
+inline constexpr RoleMask kCustomerBit = role_bit(NeighborRole::kCustomer);
+inline constexpr RoleMask kAllRoles = kProviderBit | kPeerBit | kCustomerBit;
+
 /// An inter-AS link. For kProviderCustomer links, `a` is the provider and
 /// `b` the customer; for kPeering links the order carries no meaning.
 struct Link {

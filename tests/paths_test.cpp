@@ -1,6 +1,7 @@
 // Tests for the unified path-enumeration engine: equivalence against
-// straightforward reference implementations over Graph, and determinism of
-// the parallel source driver for every thread count.
+// straightforward reference implementations over Graph, role-masked row
+// walks against full-row walks, and determinism of the parallel source
+// driver for every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +17,10 @@
 #include "panagree/pan/path_construction.hpp"
 #include "panagree/paths/enumerator.hpp"
 #include "panagree/paths/parallel.hpp"
+#include "panagree/scenario/overlay.hpp"
 #include "panagree/topology/examples.hpp"
 #include "panagree/topology/generator.hpp"
+#include "panagree/util/rng.hpp"
 
 namespace panagree::paths {
 namespace {
@@ -205,6 +208,201 @@ TEST(Engine, MutualTransitStepReclimbsOnlyAcrossAgreement) {
   // The plain valley-free set is a subset of the extended one.
   for (const Path& p : plain) {
     EXPECT_TRUE(extended.contains(p));
+  }
+}
+
+// ------------------------------------------------------ masked row walks
+
+/// `Policy` with admissible_roles widened to every role: the DFS then
+/// walks every row whole and allowed() alone decides. The full-row oracle
+/// of the role-masked walk.
+template <typename Policy>
+class FullRowOracle {
+ public:
+  using State = typename Policy::State;
+
+  explicit FullRowOracle(const Policy& policy) : policy_(&policy) {}
+
+  [[nodiscard]] State initial_state() const {
+    return policy_->initial_state();
+  }
+  [[nodiscard]] RoleMask admissible_roles(State /*state*/) const {
+    return kAllRoles;
+  }
+  [[nodiscard]] bool allowed(const Step& step, State state,
+                             State& next_state) const {
+    return policy_->allowed(step, state, next_state);
+  }
+
+ private:
+  const Policy* policy_;
+};
+
+/// Every path `policy` admits from `src` (up to `max_len` ASes), in DFS
+/// order.
+template <typename Topo, typename Policy>
+std::vector<Path> walk(const Topo& topo, AsId src, std::size_t max_len,
+                       const Policy& policy) {
+  std::vector<Path> out;
+  BasicPathEnumerator<Topo>(topo).visit_paths(
+      src, max_len, policy, [&](const Path& path) {
+        out.push_back(path);
+        return true;
+      });
+  return out;
+}
+
+/// Paths emitted by the crossing walks, with and without the registry.
+struct PolicyWalks {
+  std::size_t crossing_paths = 0;
+  std::size_t no_crossing_paths = 0;
+};
+
+/// Checks every shipped policy from every `stride`-th source of `topo`:
+/// the masked walk must emit the same paths in the same order as the
+/// full-row oracle.
+template <typename Topo>
+PolicyWalks expect_masked_walks_match_oracle(
+    const Topo& topo, const std::vector<std::pair<AsId, AsId>>& mutual,
+    const pan::CrossingRegistry& crossings, AsId stride,
+    const std::string& label) {
+  const MutualTransitStep mutual_transit(mutual);
+  const BasicMaLength3Step<Topo> ma_direct(topo, false);
+  const BasicMaLength3Step<Topo> ma_indirect(topo, true);
+  const pan::CrossingStep crossing(&crossings);
+  const pan::CrossingStep no_crossing(nullptr);
+  PolicyWalks totals;
+  for (AsId src = 0; src < topo.num_ases(); src += stride) {
+    const auto check = [&](const auto& policy, std::size_t max_len,
+                           const char* name) {
+      const std::vector<Path> masked = walk(topo, src, max_len, policy);
+      const std::vector<Path> oracle =
+          walk(topo, src, max_len, FullRowOracle(policy));
+      EXPECT_TRUE(masked == oracle)
+          << label << " " << name << " src=" << src << ": "
+          << masked.size() << " masked paths, " << oracle.size()
+          << " full-row";
+      return masked.size();
+    };
+    check(ValleyFreeStep{}, 4, "valley-free");
+    check(mutual_transit, 4, "mutual-transit");
+    check(ma_direct, 3, "ma-direct");
+    check(ma_indirect, 3, "ma-indirect");
+    totals.crossing_paths += check(crossing, 4, "crossing");
+    totals.no_crossing_paths += check(no_crossing, 4, "no-crossing");
+  }
+  return totals;
+}
+
+topology::GeneratedTopology masked_walk_topology(std::size_t ases,
+                                                 std::uint64_t seed) {
+  topology::GeneratorParams params;
+  params.num_ases = ases;
+  params.tier1_count = 4;
+  params.seed = seed;
+  return topology::generate_internet(params);
+}
+
+/// A few base peering links, the agreements of the mutual-transit walk.
+std::vector<std::pair<AsId, AsId>> some_peerings(const Graph& graph) {
+  std::vector<std::pair<AsId, AsId>> out;
+  for (const topology::Link& link : graph.links()) {
+    if (link.type == topology::LinkType::kPeering && out.size() < 8) {
+      out.emplace_back(link.a, link.b);
+    }
+  }
+  return out;
+}
+
+/// Random crossings at ASes with two or more neighbors: forward from one
+/// neighbor to another, whatever their roles, for every source.
+pan::CrossingRegistry random_crossings(const Graph& graph,
+                                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  pan::CrossingRegistry crossings;
+  for (int i = 0; i < 60; ++i) {
+    const auto at = static_cast<AsId>(rng.uniform_index(graph.num_ases()));
+    const std::vector<AsId> neighbors = graph.neighbors(at);
+    if (neighbors.size() < 2) {
+      continue;
+    }
+    const AsId from = neighbors[rng.uniform_index(neighbors.size())];
+    const AsId to = neighbors[rng.uniform_index(neighbors.size())];
+    if (from != to) {
+      crossings.add(pan::Crossing{at, from, to, {}});
+    }
+  }
+  return crossings;
+}
+
+/// A delta of every kind over `graph`: base-link removals, rewires (a
+/// removed pair re-added with another relationship) and added links of
+/// both types, so added row entries take all three roles (a peering adds
+/// a peer to both rows, a provider-customer link a customer to one and a
+/// provider to the other).
+scenario::Delta random_overlay_delta(const Graph& graph, util::Rng& rng) {
+  using topology::LinkType;
+  scenario::Delta delta;
+  std::set<std::pair<AsId, AsId>> used;
+  const auto claim = [&](AsId a, AsId b) {
+    return used.insert(std::minmax(a, b)).second;
+  };
+  for (int i = 0; i < 4; ++i) {
+    const topology::Link& link =
+        graph.link(rng.uniform_index(graph.num_links()));
+    if (!claim(link.a, link.b)) {
+      continue;
+    }
+    delta.remove.emplace_back(link.a, link.b);
+    if (rng.bernoulli(0.5)) {
+      continue;
+    }
+    if (link.type == LinkType::kPeering) {
+      delta.add.push_back({link.a, link.b, LinkType::kProviderCustomer});
+    } else if (rng.bernoulli(0.5)) {
+      delta.add.push_back({link.b, link.a, LinkType::kProviderCustomer});
+    } else {
+      delta.add.push_back({link.a, link.b, LinkType::kPeering});
+    }
+  }
+  for (int i = 0; i < 12; ++i) {
+    const auto a = static_cast<AsId>(rng.uniform_index(graph.num_ases()));
+    const auto b = static_cast<AsId>(rng.uniform_index(graph.num_ases()));
+    if (a == b || graph.link_between(a, b).has_value() || !claim(a, b)) {
+      continue;
+    }
+    delta.add.push_back({a, b,
+                         i % 2 == 0 ? LinkType::kPeering
+                                    : LinkType::kProviderCustomer});
+  }
+  return delta;
+}
+
+TEST(MaskedWalk, MatchesFullRowOracleOnCompiledTopology) {
+  const auto topo = masked_walk_topology(300, 23);
+  const topology::CompiledTopology compiled(topo.graph);
+  const auto mutual = some_peerings(topo.graph);
+  ASSERT_FALSE(mutual.empty()) << "generator produced no peering links";
+  const PolicyWalks walks = expect_masked_walks_match_oracle(
+      compiled, mutual, random_crossings(topo.graph, 5), 7, "compiled");
+  // The registry must open walks the valley-free rule alone does not.
+  EXPECT_GT(walks.crossing_paths, walks.no_crossing_paths);
+}
+
+TEST(MaskedWalk, MatchesFullRowOracleOnRandomOverlays) {
+  const auto topo = masked_walk_topology(120, 41);
+  const topology::CompiledTopology compiled(topo.graph);
+  const auto mutual = some_peerings(topo.graph);
+  const pan::CrossingRegistry crossings = random_crossings(topo.graph, 6);
+  util::Rng rng(2026);
+  for (int round = 0; round < 8; ++round) {
+    const scenario::Delta delta = random_overlay_delta(topo.graph, rng);
+    scenario::Overlay overlay(compiled);
+    overlay.apply(delta);
+    ASSERT_FALSE(overlay.empty());
+    (void)expect_masked_walks_match_oracle(overlay, mutual, crossings, 1,
+                                           "overlay " +
+                                               std::to_string(round));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -87,6 +88,34 @@ std::vector<std::pair<AsId, NeighborRole>> compiled_row(
   return row;
 }
 
+/// The row of `as` as a role-masked walk of `view` yields it.
+template <typename View>
+std::vector<std::pair<AsId, NeighborRole>> masked_row(
+    const View& view, AsId as, topology::RoleMask roles) {
+  std::vector<std::pair<AsId, NeighborRole>> row;
+  view.for_each_entry(as, roles, [&](const Overlay::Entry& e) {
+    row.emplace_back(e.neighbor, e.role);
+  });
+  return row;
+}
+
+/// The compiled row of `as`, filtered entry by entry on its role: what a
+/// masked walk must yield.
+std::vector<std::pair<AsId, NeighborRole>> filtered_row(
+    const CompiledTopology& c, AsId as, topology::RoleMask roles) {
+  std::vector<std::pair<AsId, NeighborRole>> row;
+  for (const auto& e : c.entries(as)) {
+    if ((roles & topology::role_bit(e.role)) != 0) {
+      row.emplace_back(e.neighbor, e.role);
+    }
+  }
+  return row;
+}
+
+/// Every role mask: each subset of {provider, peer, customer}.
+constexpr std::array<topology::RoleMask, 8> kEveryMask = {0, 1, 2, 3,
+                                                          4, 5, 6, 7};
+
 Graph star_graph() {
   // 0 provides to 1, 2, 3; 4 peers with 1.
   Graph g;
@@ -138,6 +167,10 @@ TEST(Overlay, AddRemoveAndRewireMatchRecompiledGraph) {
   const CompiledTopology expected(mutated);
   for (AsId as = 0; as < c.num_ases(); ++as) {
     EXPECT_EQ(overlay_row(o, as), compiled_row(expected, as)) << "as " << as;
+    for (const topology::RoleMask roles : kEveryMask) {
+      EXPECT_EQ(masked_row(o, as, roles), filtered_row(expected, as, roles))
+          << "as " << as << " roles " << int{roles};
+    }
     for (AsId other = 0; other < c.num_ases(); ++other) {
       EXPECT_EQ(o.role_of(as, other), expected.role_of(as, other))
           << as << " vs " << other;
@@ -259,6 +292,73 @@ topology::GeneratedTopology sweep_topology() {
   params.tier1_count = 4;
   params.seed = 77;
   return topology::generate_internet(params);
+}
+
+/// A random delta centred on one AS: several links added at it, of both
+/// types and either direction, so its row gains entries in every role
+/// group, plus removed base links at it and elsewhere.
+Delta random_star_delta(const Graph& g, util::Rng& rng) {
+  Delta delta;
+  const auto x = static_cast<AsId>(rng.uniform_index(g.num_ases()));
+  const auto linked = [&](AsId y) {
+    return g.link_between(x, y).has_value() ||
+           std::any_of(delta.add.begin(), delta.add.end(),
+                       [&](const LinkChange& c) {
+                         return c.a == y || c.b == y;
+                       });
+  };
+  for (int i = 0; i < 6; ++i) {
+    const auto y = static_cast<AsId>(rng.uniform_index(g.num_ases()));
+    if (y == x || linked(y)) {
+      continue;
+    }
+    switch (rng.uniform_index(3)) {
+      case 0:
+        delta.add.push_back({x, y, LinkType::kPeering});
+        break;
+      case 1:
+        delta.add.push_back({x, y, LinkType::kProviderCustomer});
+        break;
+      default:
+        delta.add.push_back({y, x, LinkType::kProviderCustomer});
+        break;
+    }
+  }
+  const auto row = g.neighbors(x);
+  if (!row.empty()) {
+    delta.remove.emplace_back(x, row[rng.uniform_index(row.size())]);
+  }
+  const auto& link = g.link(rng.uniform_index(g.num_links()));
+  if (link.a != x && link.b != x) {
+    delta.remove.emplace_back(link.a, link.b);
+  }
+  return delta;
+}
+
+TEST(Overlay, MaskedRowsMatchRecompiledGraphOnRandomDeltas) {
+  // Each delta gives one row added entries in several role groups,
+  // beside removed base entries: a masked walk must step past the added
+  // entries of the groups it skips. The recompiled graph's own masked
+  // walk is checked against the same oracle.
+  const auto topo = sweep_topology();
+  const CompiledTopology compiled(topo.graph);
+  util::Rng rng(4711);
+  for (int round = 0; round < 32; ++round) {
+    const Delta delta = random_star_delta(topo.graph, rng);
+    Overlay o(compiled);
+    o.apply(delta);
+    const Graph mutated = mutate(topo.graph, delta);
+    const CompiledTopology expected(mutated);
+    for (AsId as = 0; as < compiled.num_ases(); ++as) {
+      for (const topology::RoleMask roles : kEveryMask) {
+        const auto oracle = filtered_row(expected, as, roles);
+        ASSERT_EQ(masked_row(o, as, roles), oracle)
+            << "round " << round << " as " << as << " roles " << int{roles};
+        ASSERT_EQ(masked_row(expected, as, roles), oracle)
+            << "round " << round << " as " << as << " roles " << int{roles};
+      }
+    }
+  }
 }
 
 /// The tentpole property: for randomized delta batches, the incremental

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -347,6 +348,62 @@ TEST(SnapshotRejection, OutOfRangeCsrEntry) {
         FAIL() << "kEntries section not found";
       },
       "out-of-range CSR entry");
+}
+
+/// File offset of entry `index` of the kEntries section.
+std::size_t entry_offset(const std::string& bytes, std::size_t index) {
+  for (const SectionRecord& record : section_table(bytes)) {
+    if (record.kind == static_cast<std::uint32_t>(SectionKind::kEntries)) {
+      return record.offset + index * sizeof(TopoEntry);
+    }
+  }
+  ADD_FAILURE() << "kEntries section not found";
+  return 0;
+}
+
+TEST(SnapshotRejection, RoleByteMovedToAnotherValidRole) {
+  // The first provider entry of some row, relabelled as a peer or a
+  // customer: a valid role byte, but not its row group's. The rejection
+  // names the row's AS. expect_rejected writes this fixture.
+  const CompiledTopology compiled(make_fixture(60, 3).graph);
+  AsId as = 0;
+  while (compiled.providers(as).empty()) {
+    ++as;
+  }
+  const std::size_t index = compiled.row_start_array()[as];
+  for (const auto role :
+       {topology::NeighborRole::kPeer, topology::NeighborRole::kCustomer}) {
+    expect_rejected(
+        [&](std::string& bytes) {
+          bytes[entry_offset(bytes, index) + offsetof(TopoEntry, role)] =
+              static_cast<char>(role);
+        },
+        "role byte moved to another valid role",
+        "CSR entry role does not match its row group at AS " +
+            std::to_string(as));
+  }
+}
+
+TEST(SnapshotRejection, SwappedEntriesOfOneRowGroup) {
+  // Two neighbors of one group swapped: same roles, same row, but the
+  // group is no longer ascending, which find()'s binary search assumes.
+  const CompiledTopology compiled(make_fixture(60, 3).graph);
+  AsId as = 0;
+  while (compiled.customers(as).size() < 2) {
+    ++as;
+  }
+  const std::size_t index = compiled.peers_end_array()[as];
+  expect_rejected(
+      [&](std::string& bytes) {
+        const std::size_t at = entry_offset(bytes, index);
+        std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(
+                                             at + sizeof(TopoEntry)),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(
+                                             at + sizeof(TopoEntry)));
+      },
+      "two entries of one row group swapped",
+      "CSR row group not strictly ascending at AS " + std::to_string(as));
 }
 
 TEST(SnapshotRejection, SectionCountWrappingTheTableSize) {

@@ -42,11 +42,10 @@ for run in $(seq 1 "$RUNS"); do
   # excluded on purpose - they exist to measure one-off speedup factors,
   # not to be tracked per commit. MapSources/4 gates the parallel driver's
   # claim overhead (2^18 heavy-tailed items through the guided cursor; its
-  # checksum must not move). The RoleFilter pair is tracked including its
-  # Scalar baseline: both are cheap, and gating both sides keeps the SIMD
-  # speedup ratio visible in the committed JSON, not just asserted once.
-  # Rows that take a thread count are timed in wall-clock time
-  # (UseRealTime), so their names end in /real_time. The Obs pair gates the
+  # checksum must not move). Length3Enumeration_Csr's `paths` counter
+  # pins the CSR walk's output on a fixed source list. Rows that take a
+  # thread count are timed in wall-clock time (UseRealTime), so their
+  # names end in /real_time. The Obs pair gates the
   # per-record overhead of the metrics layer itself (counter = one sharded
   # relaxed add, histogram = two) so accidental fattening of the record path
   # is caught like any other regression - including the slow-query ring's
@@ -66,7 +65,7 @@ for run in $(seq 1 "$RUNS"); do
   # need enough iterations to average the heavy-tailed per-source costs,
   # or run-to-run noise defeats the 30% regression gate.
   "$BUILD/bench_perf_micro" \
-    --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|RoleFilter|Obs|Serve_StageClock|QueryEngine_WhatIfBatched/4|Convergence|Metrics_Contribution|Wire_PathsSerialize)'
+    --benchmark_filter='BM_(RoleLookup|Length3Enumeration|CompileTopology|ScenarioSweep_Incremental|Optimizer_Greedy|SnapshotLoad_Mmap|QueryEngine_CachedSource|MapSources|Obs|Serve_StageClock|QueryEngine_WhatIfBatched/4|Convergence|Metrics_Contribution|Wire_PathsSerialize)'
 done
 
 echo "bench suite results in $OUT:"

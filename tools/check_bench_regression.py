@@ -45,12 +45,12 @@ import sys
 TIME_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 # Counters that fingerprint a row's output: exact, host-independent and
-# independent of the iteration count. ("simd" names the host's kernel and
-# is not one.) cache_bytes is the serving engine's path-cache size and
-# response_bytes a serialized paths response's length: layout and wire
-# bytes, which move only on purpose.
+# independent of the iteration count. Any other counter is descriptive
+# and never compared. cache_bytes is the serving engine's path-cache size
+# and response_bytes a serialized paths response's length: layout and
+# wire bytes, which move only on purpose.
 FINGERPRINTS = ("checksum", "paths", "km_fee_sum", "utility_sum",
-                "admitted", "captured", "top_candidate", "program_steps",
+                "captured", "top_candidate", "program_steps",
                 "reused_evaluations", "cache_bytes", "response_bytes")
 FINGERPRINT_PREFIXES = ("recomputed_sources",)
 

@@ -27,7 +27,6 @@
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/trace.hpp"
 #include "panagree/paths/parallel.hpp"
-#include "panagree/paths/role_filter.hpp"
 
 namespace panagree::cli {
 
@@ -78,12 +77,11 @@ inline std::size_t parse_threads(const char* tool, int argc, char** argv,
 }
 
 /// The shared --version flag: one line of build provenance (git
-/// describe, compiler, obs on/off, runtime SIMD dispatch) plus the
-/// compile flags on a second line. Exit 0 - tools handle --version
-/// before validating any other argument.
+/// describe, compiler, obs on/off) plus the compile flags on a second
+/// line. Exit 0 - tools handle --version before validating any other
+/// argument.
 [[noreturn]] inline void print_version(const char* tool) {
-  std::cout << tool << " " << obs::build_info_line()
-            << " simd=" << paths::role_filter_dispatch() << "\n"
+  std::cout << tool << " " << obs::build_info_line() << "\n"
             << "flags: " << obs::build_info().flags << "\n";
   std::exit(0);
 }

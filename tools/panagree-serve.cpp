@@ -58,7 +58,6 @@
 #include "panagree/obs/build_info.hpp"
 #include "panagree/obs/export.hpp"
 #include "panagree/paths/parallel.hpp"
-#include "panagree/paths/role_filter.hpp"
 #include "panagree/serve/server.hpp"
 #include "serve_common.hpp"
 
@@ -203,12 +202,10 @@ int main(int argc, char** argv) {
 
     // The readiness line scripts and clients wait for - stdout, flushed.
     // After the address, every field is one whitespace-free key=value
-    // token: the cpus the process may run on, the role-filter kernel in
-    // use (so scripts can verify PANAGREE_NO_SIMD took effect without
-    // attaching to the process), the build and the prime phases.
+    // token: the cpus the process may run on, the build and the prime
+    // phases.
     std::cout << "listening on 127.0.0.1:" << server.port()
               << " affinity=" << paths::affinity_summary()
-              << " simd=" << paths::role_filter_dispatch()
               << " build=" << obs::build_info().git_describe << " "
               << phase_ms << std::endl;
 
