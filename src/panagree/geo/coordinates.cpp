@@ -10,17 +10,23 @@ constexpr double kDegToRad = std::numbers::pi / 180.0;
 constexpr double kRadToDeg = 180.0 / std::numbers::pi;
 }  // namespace
 
-double great_circle_km(const LatLng& a, const LatLng& b) {
-  const double lat1 = a.lat_deg * kDegToRad;
-  const double lat2 = b.lat_deg * kDegToRad;
-  const double dlat = (b.lat_deg - a.lat_deg) * kDegToRad;
-  const double dlng = (b.lng_deg - a.lng_deg) * kDegToRad;
+PreparedPoint prepare(const LatLng& p) {
+  return {p, std::cos(p.lat_deg * kDegToRad)};
+}
+
+double great_circle_km(const PreparedPoint& a, const PreparedPoint& b) {
+  const double dlat = (b.point.lat_deg - a.point.lat_deg) * kDegToRad;
+  const double dlng = (b.point.lng_deg - a.point.lng_deg) * kDegToRad;
   const double sin_dlat = std::sin(dlat / 2.0);
   const double sin_dlng = std::sin(dlng / 2.0);
-  const double h = sin_dlat * sin_dlat +
-                   std::cos(lat1) * std::cos(lat2) * sin_dlng * sin_dlng;
+  const double h =
+      sin_dlat * sin_dlat + a.cos_lat * b.cos_lat * sin_dlng * sin_dlng;
   const double clamped = std::min(1.0, std::sqrt(h));
   return 2.0 * kEarthRadiusKm * std::asin(clamped);
+}
+
+double great_circle_km(const LatLng& a, const LatLng& b) {
+  return great_circle_km(prepare(a), prepare(b));
 }
 
 LatLng spherical_centroid(std::span<const LatLng> points) {

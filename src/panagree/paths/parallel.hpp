@@ -107,7 +107,10 @@ inline constexpr std::size_t kMaxThreads = 1024;
 /// The default `min_parallel` of map_indices: below this many indices the
 /// driver runs serially regardless of the requested worker count - thread
 /// spawn/join overhead dwarfs tiny workloads, and results are identical
-/// either way.
+/// either way. Callers whose every index is a whole enumeration,
+/// contribution or scenario pass 2 instead: SweepRunner's prime and dirty
+/// fan-out, MetricsAggregator::contributions (prime's fold) and the
+/// optimizer's candidate map.
 inline constexpr std::size_t kMinParallelSources = 32;
 
 /// Runs `fn(i)` for every index in [0, count) and returns the results in

@@ -414,10 +414,13 @@ SliceSum<SourceContribution> MetricsAggregator::contributions(
     const Overlay& overlay, const std::vector<Result>& results,
     std::size_t threads) const {
   ScratchPool pool(*this);
-  return SliceSum<SourceContribution>(
-      paths::map_indices(results.size(), threads, [&](std::size_t i) {
+  // Each index is a whole source's contribution: the whole-unit threshold.
+  return SliceSum<SourceContribution>(paths::map_indices(
+      results.size(), threads,
+      [&](std::size_t i) {
         return pool.contribution(overlay, path_set(results[i]));
-      }));
+      },
+      /*min_parallel=*/2));
 }
 
 template <typename Result>

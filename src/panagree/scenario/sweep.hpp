@@ -204,8 +204,10 @@ class SweepRunner {
     const obs::TraceSpan span("sweep.prime");
     const std::uint64_t start = detail::sweep_clock_ns();
     const Overlay empty(*base_);
-    cache_ = paths::map_sources(sources_, config_.threads,
-                                [&](AsId src) { return fn(empty, src); });
+    // Each source is a whole enumeration: the whole-unit threshold.
+    cache_ = paths::map_sources(
+        sources_, config_.threads, [&](AsId src) { return fn(empty, src); },
+        /*min_parallel=*/2);
     state_ = Delta{};
     primed_ = true;
     if constexpr (obs::enabled()) {
@@ -317,8 +319,9 @@ class SweepRunner {
       }
     }
     // Each dirty source is a whole enumeration, so two already pay for
-    // a worker; map_indices' default threshold (kMinParallelSources, 32)
-    // would leave all but hub deltas serial.
+    // a worker, as in prime(); map_indices' default threshold
+    // (kMinParallelSources, 32, for cheap items) would leave all but hub
+    // deltas serial.
     auto results = paths::map_sources(
         dirty, threads, [&](AsId src) { return fn(overlay, src); },
         /*min_parallel=*/2);

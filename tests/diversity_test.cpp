@@ -241,6 +241,64 @@ TEST(Geodistance, MinimizesOverFacilities) {
   EXPECT_NEAR(model.path_geodistance_km(a, b, c), best, 1e-9);
 }
 
+/// The tables hold exactly the haversine doubles, however the build
+/// shares great circles between legs: every leg equals great_circle_km
+/// of its endpoint's centroid and its city, and every city-matrix entry
+/// that of its two cities.
+TEST(Geodistance, TablesHoldTheHaversineDoubles) {
+  topology::GeneratorParams params;
+  params.num_ases = 400;
+  params.tier1_count = 4;
+  params.seed = 23;
+  const auto topo = topology::generate_internet(params);
+  const topology::Graph& g = topo.graph;
+  const geo::World& world = topo.world;
+  const GeodistanceModel model(g, world);
+
+  std::size_t legs = 0;
+  std::size_t off_pop_legs = 0;
+  for (topology::LinkId l = 0; l < g.num_links(); ++l) {
+    const topology::Link& link = g.link(l);
+    for (const AsId as : {link.a, link.b}) {
+      const HopLegs hop = model.link_legs(l, as);
+      ASSERT_EQ(hop.side, as == link.a ? 0u : 1u);
+      ASSERT_EQ(hop.legs.size(), link.facilities.size());
+      const std::vector<std::size_t>& pops = g.info(as).pops;
+      for (std::size_t k = 0; k < hop.legs.size(); ++k) {
+        const std::size_t city = link.facilities[k];
+        ASSERT_EQ(hop.legs[k].city, city);
+        EXPECT_EQ(hop.legs[k].km[hop.side],
+                  geo::great_circle_km(g.info(as).centroid,
+                                       world.city(city).location))
+            << "link " << l << " AS " << as << " city " << city;
+        ++legs;
+        if (std::find(pops.begin(), pops.end(), city) == pops.end()) {
+          ++off_pop_legs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(legs, 0u);
+  // Legs into cities that are not a PoP of their AS (IXP cities, a
+  // provider's haul facilities, nearest-pair peerings): a memo keyed on
+  // PoP membership would miss these.
+  EXPECT_GT(off_pop_legs, 0u);
+
+  // A path of two zero-km legs reads one matrix entry.
+  const std::size_t cities = world.cities().size();
+  for (std::uint32_t a = 0; a < cities; ++a) {
+    const FacilityLeg head{a, {0.0, 0.0}};
+    for (std::uint32_t b = 0; b < cities; ++b) {
+      const FacilityLeg tail{b, {0.0, 0.0}};
+      EXPECT_EQ(model.path_geodistance_km(HopLegs{{&head, 1}, 0},
+                                          HopLegs{{&tail, 1}, 0}),
+                geo::great_circle_km(world.city(std::min(a, b)).location,
+                                     world.city(std::max(a, b)).location))
+          << "cities " << a << ", " << b;
+    }
+  }
+}
+
 TEST(Geodistance, ReportCountsAreInternallyConsistent) {
   topology::GeneratorParams params;
   params.num_ases = 500;

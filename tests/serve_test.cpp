@@ -637,7 +637,7 @@ TEST(QueryEngine, StateMetricsAndWhatIfUtilitiesArePinned) {
 /// one byte string: state metrics and every sampled source's diversity
 /// (doubles in hex-float form), then the handle_line responses of
 /// `whatifs`.
-std::string refold_transcript(const ServeFixture& f, QueryEngine& engine,
+std::string refold_transcript(QueryEngine& engine,
                               const std::vector<std::string>& whatifs) {
   std::string out;
   const auto put = [&](double value) {
@@ -653,7 +653,7 @@ std::string refold_transcript(const ServeFixture& f, QueryEngine& engine,
   put(metrics.mean_best_geodistance_km);
   put(metrics.transit_fees);
   out += '\n';
-  for (const AsId src : f.sources_) {
+  for (const AsId src : engine.sources()) {
     const DiversityResult d = engine.diversity(src);
     out += "diversity " + std::to_string(src) + ' ' +
            std::to_string(d.grc_paths) + ' ' + std::to_string(d.ma_paths) +
@@ -669,12 +669,13 @@ std::string refold_transcript(const ServeFixture& f, QueryEngine& engine,
   return out;
 }
 
-/// Prime's parallel fold and a rebase's spliced state serve the same
-/// bytes at any engine thread count. The fixture's 40 sources exceed the
-/// driver's serial threshold, so threads > 1 really fan out.
-TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
-  const ServeFixture& f = fixture();
-  ASSERT_GT(f.sources_.size(), paths::kMinParallelSources);
+/// Primes an engine over `sources` at 1, 2 and 8 threads and expects the
+/// same state, diversity answers and what-ifs from each, primed and after
+/// one rebase. With the driver metrics compiled in, it also checks that
+/// prime's enumeration and fold each ran on min(threads, sources)
+/// workers, so the comparison covers real fan-outs.
+void expect_refold_identity(const ServeFixture& f,
+                            const std::vector<AsId>& sources) {
   const std::vector<scenario::Delta> deltas = f.candidates(6);
   ASSERT_GE(deltas.size(), 4u);
   std::vector<std::string> whatifs;
@@ -686,15 +687,26 @@ TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
                       std::to_string(link.b) + R"(,"type":"peering"}]})");
   }
 
+  const obs::Histogram& busy =
+      obs::Registry::global().histogram("paths.worker_busy_ns");
   std::vector<std::string> primed;
   std::vector<std::string> rebased;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     EngineConfig config;
     config.threads = threads;
-    const auto engine = f.make_engine(config);
-    primed.push_back(refold_transcript(f, *engine, whatifs));
-    engine->rebase(deltas[0]);
-    rebased.push_back(refold_transcript(f, *engine, whatifs));
+    QueryEngine engine(*f.compiled_, &f.topo_.world, &*f.economy_, sources,
+                       config);
+    const std::uint64_t workers_before = busy.count();
+    engine.prime();
+    if (obs::enabled()) {
+      // One busy-time sample per worker of each of prime's two maps.
+      EXPECT_EQ(busy.count() - workers_before,
+                2 * std::min(threads, sources.size()))
+          << threads << " threads";
+    }
+    primed.push_back(refold_transcript(engine, whatifs));
+    engine.rebase(deltas[0]);
+    rebased.push_back(refold_transcript(engine, whatifs));
   }
   for (std::size_t i = 1; i < primed.size(); ++i) {
     EXPECT_EQ(primed[i], primed[0]) << "thread config " << i;
@@ -702,6 +714,30 @@ TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
   }
   // The rebase moved the state, so the comparison covers two states.
   EXPECT_NE(rebased[0], primed[0]);
+}
+
+/// Prime's parallel fold and a rebase's spliced state serve the same
+/// bytes at any engine thread count. The fixture's 40 sources exceed the
+/// driver's default serial threshold.
+TEST(QueryEngine, RefoldIsByteIdenticalAcrossThreadCounts) {
+  const ServeFixture& f = fixture();
+  ASSERT_GT(f.sources_.size(), paths::kMinParallelSources);
+  expect_refold_identity(f, f.sources_);
+}
+
+/// The same below that threshold: each of prime's units is a whole
+/// enumeration or contribution, so prime fans out from two sources on
+/// (rebase_read's daemon caches 30).
+TEST(QueryEngine, SmallPrimeIsByteIdenticalAcrossThreadCounts) {
+  const ServeFixture& f = fixture();
+  for (const std::size_t n : {14u, 30u}) {
+    SCOPED_TRACE(std::to_string(n) + " sources");
+    const std::vector<AsId> sources =
+        diversity::sample_sources(f.topo_.graph, n, 7);
+    ASSERT_EQ(sources.size(), n);
+    ASSERT_LT(sources.size(), paths::kMinParallelSources);
+    expect_refold_identity(f, sources);
+  }
 }
 
 TEST(QueryEngine, StatsRequestServesLiveRegistrySnapshot) {

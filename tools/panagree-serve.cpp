@@ -16,7 +16,9 @@
 // only its step's dirty sources and shares every clean path set with
 // the previous epoch). Priming enumerates every sampled source's paths
 // and folds its contribution; the readiness line ends with the wall time
-// of both phases (enumerate_ms=, fold_ms=).
+// of the cold start's phases: building the serving context (snapshot
+// open, economy, engine; context_ms=), then both prime phases
+// (enumerate_ms=, fold_ms=).
 //
 // --port 0 binds an ephemeral port; the chosen port is in the
 // "listening" line. That line goes to *stdout* (everything else to
@@ -96,14 +98,18 @@ void emit_stats_line(std::uint64_t epoch) {
   std::cerr << std::endl;
 }
 
-/// "enumerate_ms=E fold_ms=F": the two prime phases, one decimal each.
-std::string prime_phase_fields(const serve::PrimeTiming& timing) {
+/// "context_ms=C enumerate_ms=E fold_ms=F": the cold start's three
+/// phases - the ServeContext construction (snapshot open, economy,
+/// engine) and the two prime phases - one decimal each.
+std::string cold_start_fields(std::chrono::nanoseconds context,
+                              const serve::PrimeTiming& timing) {
   const auto ms = [](std::uint64_t ns) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.1f", static_cast<double>(ns) / 1e6);
     return std::string(buf);
   };
-  return "enumerate_ms=" + ms(timing.enumerate_ns) +
+  return "context_ms=" + ms(static_cast<std::uint64_t>(context.count())) +
+         " enumerate_ms=" + ms(timing.enumerate_ns) +
          " fold_ms=" + ms(timing.fold_ns);
 }
 
@@ -169,6 +175,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(slow_ms) * 1'000'000);
 
   try {
+    const auto context_start = std::chrono::steady_clock::now();
     servecfg::ServeContext context(
         snapshot.empty() ? nullptr : snapshot.c_str(), sources_n, threads,
         max_batch);
@@ -178,7 +185,8 @@ int main(int argc, char** argv) {
                                 std::chrono::steady_clock::now() -
                                 prime_start)
                                 .count();
-    const std::string phase_ms = prime_phase_fields(timing);
+    const std::string phase_ms =
+        cold_start_fields(prime_start - context_start, timing);
     std::cerr << "[serve] primed " << context.sources.size()
               << " sources in " << prime_ms << " ms ("
               << context.net.graph().num_ases() << " ASes) " << phase_ms
@@ -202,8 +210,8 @@ int main(int argc, char** argv) {
 
     // The readiness line scripts and clients wait for - stdout, flushed.
     // After the address, every field is one whitespace-free key=value
-    // token: the cpus the process may run on, the build and the prime
-    // phases.
+    // token: the cpus the process may run on, the build and the cold
+    // start's phases.
     std::cout << "listening on 127.0.0.1:" << server.port()
               << " affinity=" << paths::affinity_summary()
               << " build=" << obs::build_info().git_describe << " "

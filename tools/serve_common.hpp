@@ -5,12 +5,16 @@
 // the same topology, the same source sample (sample seed included), the
 // same economy and the same scoring weights.
 //
-// Cold start: prime() enumerates every sampled source, then folds their
-// per-source contributions in parallel over the engine threads (500
-// sources on the 3000-AS fixture at 2 threads: 80-100 ms of enumeration,
-// then 75-110 ms of fold), so the context is serve-ready. The cached path
-// sets are gap-coded (scenario::SourcePathSet): 3.9 MB for those 500
-// sources, of a daemon peak near 17-19 MB.
+// Cold start: constructing the context opens the snapshot, builds the
+// economy and the engine, whose MetricsAggregator builds the geodistance
+// tables (one great circle per distinct AS-city leg); on the 3000-AS
+// fixture that is 10-25 ms whatever the sample size. prime() then
+// enumerates every sampled source and folds their per-source
+// contributions, both in parallel over the engine threads from two
+// sources on (at 2 threads: ~5 + ~6 ms for 30 sources, 65-95 + 65-105
+// ms for 500), so the context is serve-ready. The cached path sets are
+// gap-coded (scenario::SourcePathSet): 3.9 MB for those 500 sources, of
+// a daemon peak near 17-19 MB.
 #pragma once
 
 #include <array>
